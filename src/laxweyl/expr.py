@@ -16,11 +16,17 @@ Canonical form invariants:
 
 Equality of expressions is therefore structural, which is what makes
 "reduces to zero" a decidable, exact verdict everywhere downstream.
+
+Gcds first split by variable set: a common factor lies in the shared
+variables, so operands over different sets reduce to a gcd of their
+coefficients over those variables, and the subresultant PRS only ever
+sees operands over one and the same set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -223,6 +229,18 @@ def _m_max(monos: Iterable[Mono]) -> Mono:
     return best
 
 
+def _m_heap_key(a: Mono) -> tuple:
+    """Tuple key whose ascending order is descending ``_m_cmp`` order, so a
+    min-heap of keys pops the leading monomial first.  Two distinct
+    monomials of equal degree differ at some variable or exponent, so the
+    comparison never falls off the end of the shorter key."""
+    key = [-_m_degree(a)]
+    for v, e in a:
+        key.append(v.key)
+        key.append(-e)
+    return tuple(key)
+
+
 # ---------------------------------------------------------------------------
 # Polynomials: dict {Mono: Fraction}, zero coefficients never stored
 # ---------------------------------------------------------------------------
@@ -408,7 +426,7 @@ def _p_int_primitive(a: Poly) -> tuple:
     for c in a.values():
         num_gcd = _int_gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
     content = Fraction(num_gcd, den_lcm)
-    prim = {m: Fraction(c / content) for m, c in a.items()}
+    prim = {m: c / content for m, c in a.items()}
     _, lc = _p_leading(prim)
     if lc < 0:
         content = -content
@@ -417,7 +435,11 @@ def _p_int_primitive(a: Poly) -> tuple:
 
 
 def _p_divexact(a: Poly, b: Poly) -> Optional[Poly]:
-    """Exact polynomial division ``a / b``; None if it does not divide."""
+    """Exact polynomial division ``a / b``; None if it does not divide.
+
+    The remainder is updated in place and its monomials are kept in a heap
+    (stale entries are skipped when popped), so each quotient term costs
+    one pass over ``b`` rather than a rescan of the whole remainder."""
     if not a:
         return {}
     if not b:
@@ -432,17 +454,34 @@ def _p_divexact(a: Poly, b: Poly) -> Optional[Poly]:
             out[q] = c / cb
         return out
     mb, cb = _p_leading(b)
+    tail = [(m, c) for m, c in b.items() if m != mb]
     rem = dict(a)
+    heap = [(_m_heap_key(m), m) for m in rem]
+    heapify(heap)
     quot: Poly = {}
-    while rem:
-        mr, cr = _p_leading(rem)
+    while heap:
+        mr = heappop(heap)[1]
+        cr = rem.pop(mr, None)
+        if cr is None:
+            continue
         qm = _m_div(mr, mb)
         if qm is None:
             return None
         qc = cr / cb
-        quot[qm] = quot.get(qm, Fraction(0)) + qc
-        rem = _p_sub(rem, _p_mul_mono(b, qm, qc))
-    return {m: c for m, c in quot.items() if c}
+        quot[qm] = qc
+        for mt, ct in tail:
+            m = _m_mul(mt, qm)
+            c = rem.get(m)
+            if c is None:
+                rem[m] = -qc * ct
+                heappush(heap, (_m_heap_key(m), m))
+            else:
+                c -= qc * ct
+                if c:
+                    rem[m] = c
+                else:
+                    del rem[m]
+    return quot
 
 
 # -- multivariate gcd -------------------------------------------------------
@@ -525,21 +564,30 @@ def _prem(a: dict, b: dict) -> dict:
 
 
 def _p_gcd_many(polys: Sequence[Poly]) -> Poly:
+    """Gcd of several polynomials, smallest first, stopping at a constant."""
     g: Poly = {}
-    for p in polys:
+    for p in sorted(polys, key=len):
         if not g:
             g = p
             continue
-        if g == _P_ONE or (len(g) == 1 and _M_ONE in g):
+        if len(g) == 1 and _M_ONE in g:
             break
         g = _p_gcd(g, p)
     return g
 
 
-def _pick_main_var(a: Poly, b: Poly) -> Optional[Var]:
-    common = _p_vars(a) & _p_vars(b)
-    if not common:
-        return None
+def _p_coeffs_in(a: Poly, keep: set) -> list:
+    """Coefficients of ``a`` as a polynomial in the variables outside
+    ``keep``; each coefficient is a Poly in the variables of ``keep``."""
+    out: dict = {}
+    for m, c in a.items():
+        inner = tuple(t for t in m if t[0] in keep)
+        outer = tuple(t for t in m if t[0] not in keep)
+        out.setdefault(outer, {})[inner] = c
+    return list(out.values())
+
+
+def _pick_main_var(a: Poly, b: Poly, common: set) -> Var:
     best = None
     best_score = None
     for v in common:
@@ -575,15 +623,22 @@ def _p_gcd_core(a: Poly, b: Poly) -> Poly:
         return _p_const(Fraction(1))
     if a == b:
         return a
+    vars_a, vars_b = _p_vars(a), _p_vars(b)
+    if vars_a != vars_b:
+        # a common factor lies in the shared variables, so it divides every
+        # coefficient of either operand over the variables it has alone
+        shared = vars_a & vars_b
+        if not shared:
+            return _p_const(Fraction(1))
+        g = _p_gcd_many(_p_coeffs_in(a, shared) + _p_coeffs_in(b, shared))
+        return _p_int_primitive(g)[1]
     # cheap trial divisions catch the very common "one divides the other"
     if len(a) <= 600 and len(b) <= 600:
         if len(b) <= len(a) and _p_divexact(a, b) is not None:
             return b
         if len(a) < len(b) and _p_divexact(b, a) is not None:
             return a
-    v = _pick_main_var(a, b)
-    if v is None:
-        return _p_const(Fraction(1))
+    v = _pick_main_var(a, b, vars_a)
     ua, ub = _p_to_univ(a, v), _p_to_univ(b, v)
     cont_a = _p_gcd_many(list(ua.values()))
     cont_b = _p_gcd_many(list(ub.values()))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -219,6 +221,138 @@ class TestPolyHelpers:
         x, y = coords.var("x"), coords.var("y")
         with pytest.raises(NotPolynomialIn):
             poly_gcd(x / y, x)
+
+
+def _assert_gcd_matches_sympy(a: Expr, b: Expr) -> Expr:
+    """``poly_gcd`` is integer-primitive and a rational multiple of sympy's
+    gcd, and ``a/b`` is the same reduced fraction as ``sympy.cancel``."""
+    g = poly_gcd(a, b)
+    coeffs = g.num.values()
+    assert all(c.denominator == 1 for c in coeffs)
+    assert reduce(math.gcd, (c.numerator for c in coeffs)) == 1
+    assert not str(g).startswith("-")
+    sa, sb = to_sympy(a), to_sympy(b)
+    ratio = sympy.cancel(to_sympy(g) / sympy.gcd(sa, sb))
+    assert ratio.is_Rational and ratio != 0, (str(a), str(b), str(g))
+    q = a / b
+    num, den = sympy.fraction(sympy.cancel(sa / sb))
+    assert sympy.cancel(to_sympy(q.denominator()) / den).is_Rational
+    assert sympy.expand(to_sympy(q.numerator()) * den - num
+                        * to_sympy(q.denominator())) == 0
+    return g
+
+
+class TestGcdAcrossVariableSets:
+    """Operands over different variable sets: the gcd is taken over their
+    shared variables only."""
+
+    def test_jet_numerator_over_lam_denominators(self, coords):
+        lam = coords.var("lam")
+        u, ux, ut, uy = (coords.jet("u", d) for d in ("", "x", "t", "y"))
+        rng = random.Random(2026)
+        pool = [u, ux, ut, uy, lam]
+        for k in range(1, 6):
+            for den in ((lam + 2) ** k, 3 * lam - 1):
+                jets = random_polynomial(coords, rng, pool=pool, terms=6,
+                                         factors=3)
+                for num in (jets * (lam + 2) ** rng.randint(0, 3),
+                            jets * (3 * lam - 1) + u * ux,
+                            jets * (lam + 2) * (3 * lam - 1)):
+                    if num.is_zero():
+                        continue
+                    _assert_gcd_matches_sympy(num, den)
+
+    def test_gcd_keeps_lam_power(self, coords):
+        lam = coords.var("lam")
+        u, ux = coords.var("u"), coords.jet("u", "x")
+        num = (u * ux * lam - 3 * ux + lam * lam) * (lam + 2) ** 3
+        g = _assert_gcd_matches_sympy(num, (lam + 2) ** 5)
+        assert str(g) == str((lam + 2) ** 3)
+        assert str(num / (lam + 2) ** 5) == str(
+            (u * ux * lam - 3 * ux + lam * lam) / (lam + 2) ** 2)
+
+    def test_strict_superset(self, coords):
+        x, y, t = coords.var("x"), coords.var("y"), coords.var("t")
+        common = x + 2 * y - 1
+        a = common * (t * x + y * y + t) * (x - t)
+        b = common * (x * x - 3 * y)
+        g = _assert_gcd_matches_sympy(a, b)
+        assert str(g) == str(common)
+        _assert_gcd_matches_sympy(b, a)
+        _assert_gcd_matches_sympy(a, x * x - 3 * y)
+
+    def test_disjoint_sets(self, coords):
+        x, y, t = coords.var("x"), coords.var("y"), coords.var("t")
+        u, lam = coords.var("u"), coords.var("lam")
+        a = (x * u + 1) * (x - u)
+        b = (y * t - lam) * (lam + 2)
+        assert poly_gcd(a, b) == ONE
+        _assert_gcd_matches_sympy(a, b)
+        assert poly_gcd(2 * x * a, 4 * x * b) == x
+
+    def test_shared_factor_spans_shared_variables(self, coords):
+        x, y, t = coords.var("x"), coords.var("y"), coords.var("t")
+        u, ux, lam = coords.var("u"), coords.jet("u", "x"), coords.var("lam")
+        common = x * y - t + 2 * x * t * t - 5
+        a = common * (u * x + y) * (ux - t)
+        b = common * common * (lam * y + t) * (lam - 3 * x)
+        g = _assert_gcd_matches_sympy(a, b)
+        assert str(g) == str(common)
+
+    def test_seeded_private_variables(self, coords):
+        rng = random.Random(314159)
+        x, y, t = coords.var("x"), coords.var("y"), coords.var("t")
+        u, ux, lam = coords.var("u"), coords.jet("u", "x"), coords.var("lam")
+        shared = [x, y, t]
+        for _ in range(25):
+            common = random_polynomial(coords, rng, pool=shared, terms=3)
+            a = random_polynomial(coords, rng, pool=shared + [u, ux])
+            b = random_polynomial(coords, rng, pool=shared + [lam])
+            if common.is_zero() or a.is_zero() or b.is_zero():
+                continue
+            _assert_gcd_matches_sympy(a * common, b * common)
+
+
+def _dense_divisor(coords) -> Expr:
+    x, y, t = coords.var("x"), coords.var("y"), coords.var("t")
+    u, ux = coords.var("u"), coords.jet("u", "x")
+    b = (x + 2 * y - 3 * t + u + 1) * (x * x - y * t + ux + 5 * t - 2) \
+        * (t - u * ux + Fraction(1, 2))
+    assert len(b.num) >= 20
+    return b
+
+
+class TestDivexactLargeDivisors:
+    def test_exact_quotient_matches_sympy(self, coords):
+        rng = random.Random(271828)
+        b = _dense_divisor(coords)
+        sb = to_sympy(b)
+        for _ in range(4):
+            q = random_polynomial(coords, rng, terms=6, factors=2)
+            if q.is_zero():
+                continue
+            quot = poly_divexact(q * b, b)
+            assert quot == q
+            sq, sr = sympy.div(to_sympy(q * b), sb)
+            assert sr == 0
+            assert sympy.expand(to_sympy(quot) - sq) == 0
+
+    def test_late_failing_non_divisor(self, coords):
+        """The remainder's leading term fails to divide only after every
+        quotient term has been produced."""
+        x, y = coords.var("x"), coords.var("y")
+        b = _dense_divisor(coords)
+        q = x * x * y - 3 * x * y + y * y + 7 * x - 1
+        for r in (ONE, y - 2, Fraction(1, 3) * x * y):
+            a = q * b + r
+            assert poly_divexact(a, b) is None
+            _, sr = sympy.div(to_sympy(a), to_sympy(b))
+            assert sr != 0
+
+    def test_dense_divisor_of_dense_divisor(self, coords):
+        b = _dense_divisor(coords)
+        assert poly_divexact(b * b, b) == b
+        assert poly_divexact(b, b * b) is None
 
 
 class TestPrintingRoundTrip:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from laxweyl import (Coordinates, Expr, LaxPair, LaxVerdict, ONE, ZERO,
                      characteristic_check, conformal_equal, conformal_metric,
                      congruence_from_vectors, conic_oracle,
                      conic_oracle_sampling, monge_invariant, normal_lift_4d,
-                     pullback, recover_metric, verify_lax, weyl_lift_3d)
+                     parse_document, pullback, recover_metric, verify_lax,
+                     weyl_lift_3d)
 from laxweyl.errors import (DegenerateCongruence, DegenerateFrame,
                             LambdaDependent)
 
@@ -324,3 +326,74 @@ class TestCongruenceFromVectors:
         doubled = [2 * e for e in vec]
         with pytest.raises(DegenerateFrame):
             congruence_from_vectors(c, vec, doubled)
+
+
+# Images of corpus entries under the shear x -> x + t/2, written out by the
+# benchmark generator (perfbench/symgen.py).  Their denominators mix lam
+# with the jets, so every sum in the commutator goes through the gcd.
+SHEARED_DKP = """\
+# dispersionless KP equation sheared x -> x + t/2
+
+[coords]
+base = x, y, t
+unknowns = u
+
+[equation]
+solve u_xx = (-4*u*u_tt + 4*u*u_xt - 4*u_t^2 + 4*u_t*u_x - u_x^2 + 4*u_yy - 4*u_xt)/(u - 2)
+
+[pair]
+alpha = (2*lam^2 - 2*u)/(lam^2 - u + 2)
+beta = (2*lam)/(lam^2 - u + 2)
+m = (-2*lam*u_t + lam*u_x - 2*u_y)/(lam^2 - u + 2)
+n = (2*lam*u_y + 2*u*u_t - u*u_x - 4*u_t + 2*u_x)/(2*lam^2 - 2*u + 4)
+"""
+
+SHEARED_DKP_BROKEN = """\
+# dispersionless KP with a flipped sign sheared x -> x + t/2
+
+[coords]
+base = x, y, t
+unknowns = u
+
+[equation]
+solve u_xx = (-4*u*u_tt + 4*u*u_xt + 4*u_t^2 - 4*u_t*u_x + u_x^2 + 4*u_yy - 4*u_xt)/(u - 2)
+
+[pair]
+alpha = (2*lam^2 - 2*u)/(lam^2 - u + 2)
+beta = (2*lam)/(lam^2 - u + 2)
+m = (-2*lam*u_t + lam*u_x - 2*u_y)/(lam^2 - u + 2)
+n = (2*lam*u_y + 2*u*u_t - u*u_x - 4*u_t + 2*u_x)/(2*lam^2 - 2*u + 4)
+"""
+
+SHEARED_MASTER_EW = """\
+# generic Einstein-Weyl equation sheared x -> x + t/2
+
+[coords]
+base = x, y, t
+unknowns = a, b
+
+[equation]
+solve a_xx = (-4*a*a_yt + 2*a*a_xy - 4*a_t*a_y - 4*a_t*b_t + 2*a_t*b_x + 2*a_y*a_x + 2*a_x*b_t - a_x*b_x - 4*a_tt*b + 4*a_yy + 4*a_xt*b - 4*a_xt)/(b - 2)
+
+[equation]
+solve b_xx = (-4*a*b_yt + 2*a*b_xy + 4*a_t*b_y - 8*a_y*b_t + 4*a_y*b_x - 2*a_x*b_y - 4*b*b_tt + 4*b*b_xt - 4*b_t^2 + 4*b_t*b_x - b_x^2 + 4*b_yy - 4*b_xt)/(b - 2)
+
+[pair]
+alpha = (2*lam^2 - 2*lam*a - 2*b)/(lam^2 - lam*a - b + 2)
+beta = (2*lam)/(lam^2 - lam*a - b + 2)
+m = (-2*lam^2*a_t + lam^2*a_x + 2*lam*a*a_t - lam*a*a_x - 2*lam*a_y - 2*lam*b_t + lam*b_x + 2*a*b_t - a*b_x - 2*b_y)/(lam^2 - lam*a - b + 2)
+n = (2*lam^2*a_y + 2*lam*a_t*b - 4*lam*a_t - lam*a_x*b + 2*lam*a_x + 2*lam*b_y + 2*b*b_t - b*b_x - 4*b_t + 2*b_x)/(2*lam^2 - 2*lam*a - 2*b + 4)
+"""
+
+
+class TestMultiTermDenominators:
+    def test_sheared_documents_within_budget(self):
+        """Budget: 10 s for all three."""
+        start = time.monotonic()
+        for text, want in ((SHEARED_DKP, LaxVerdict.LAX_PAIR),
+                           (SHEARED_DKP_BROKEN, LaxVerdict.NOT_INTEGRABLE),
+                           (SHEARED_MASTER_EW, LaxVerdict.LAX_PAIR)):
+            doc = parse_document(text)
+            assert verify_lax(doc.system, doc.pair).verdict is want
+        elapsed = time.monotonic() - start
+        assert elapsed < 10, "budget 10s exceeded: %.1fs" % elapsed
