@@ -610,35 +610,40 @@ def _p_gcd(a: Poly, b: Poly) -> Poly:
     mg = _m_gcd(mca, mcb)
     a = _p_div_mono(a, mca)
     b = _p_div_mono(b, mcb)
-    _, a = _p_int_primitive(a)
-    _, b = _p_int_primitive(b)
-    g = _p_gcd_core(a, b)
+    # with the monomial content split off, a single term has no common
+    # factor but a constant with anything
+    if len(a) == 1 or len(b) == 1:
+        return {mg: Fraction(1)}
+    vars_a, vars_b = _p_vars(a), _p_vars(b)
+    if vars_a == vars_b:
+        g = _p_gcd_core(_p_int_primitive(a)[1], _p_int_primitive(b)[1],
+                        vars_a)
+    else:
+        # a common factor lies in the shared variables, so it divides every
+        # coefficient of either operand over the variables it has alone;
+        # operands without a shared variable have none
+        shared = vars_a & vars_b
+        if not shared:
+            return {mg: Fraction(1)}
+        g = _p_gcd_many(_p_coeffs_in(a, shared) + _p_coeffs_in(b, shared))
+        g = _p_int_primitive(g)[1]
     if mg:
         g = _p_mul_mono(g, mg, Fraction(1))
     return g
 
 
-def _p_gcd_core(a: Poly, b: Poly) -> Poly:
-    if len(a) == 1 or len(b) == 1:
-        return _p_const(Fraction(1))
+def _p_gcd_core(a: Poly, b: Poly, variables: set) -> Poly:
+    """Gcd of integer-primitive operands of two or more terms each, both
+    over the same ``variables``."""
     if a == b:
         return a
-    vars_a, vars_b = _p_vars(a), _p_vars(b)
-    if vars_a != vars_b:
-        # a common factor lies in the shared variables, so it divides every
-        # coefficient of either operand over the variables it has alone
-        shared = vars_a & vars_b
-        if not shared:
-            return _p_const(Fraction(1))
-        g = _p_gcd_many(_p_coeffs_in(a, shared) + _p_coeffs_in(b, shared))
-        return _p_int_primitive(g)[1]
     # cheap trial divisions catch the very common "one divides the other"
     if len(a) <= 600 and len(b) <= 600:
         if len(b) <= len(a) and _p_divexact(a, b) is not None:
             return b
         if len(a) < len(b) and _p_divexact(b, a) is not None:
             return a
-    v = _pick_main_var(a, b, vars_a)
+    v = _pick_main_var(a, b, variables)
     ua, ub = _p_to_univ(a, v), _p_to_univ(b, v)
     cont_a = _p_gcd_many(list(ua.values()))
     cont_b = _p_gcd_many(list(ub.values()))

@@ -15,6 +15,17 @@ the Levi-Civita ones plus ``delta^k_i omega_j + delta^k_j omega_i
 the symmetrized Ricci tensor of that connection; in four dimensions the
 relevant residual is instead the anti-self-dual (or self-dual, by
 orientation) part of the conformally invariant Weyl tensor.
+
+In three dimensions that residual splits into a Levi-Civita part and terms
+in ``omega`` (Calderbank--Pedersen, "Einstein--Weyl geometry", 1999):
+
+    TF(Sym Ric^D) = TF(Ric^g) - TF(Sym nabla omega) + TF(omega (x) omega)
+
+with ``TF(S) = S - (1/3) tr_g(S) g`` and ``(nabla omega)_{ij} = D_i omega_j
+- Gamma^k_{ij} omega_k`` for the Levi-Civita ``Gamma``.  In dimension
+``n`` both ``omega`` terms carry the factor ``n - 2``, with these signs for
+the conventions above.  :func:`ew_residual` computes the right-hand side,
+so curvature is only taken of the parameter-free Levi-Civita connection.
 """
 
 from __future__ import annotations
@@ -171,15 +182,30 @@ def ew_residual(system: SolvedSystem, metric: Metric,
                 omega: Sequence[Expr]) -> ResidualTensor:
     """Trace-free symmetrized Ricci of the Weyl connection, raw and reduced
     modulo the system.  Vanishing mod the ideal is the Einstein--Weyl
-    property of the conformal structure with Weyl form ``omega``."""
+    property of the conformal structure with Weyl form ``omega``.
+
+    Computed by the split in the module docstring: ``omega`` meets one total
+    derivative per component, products with the parameter-free Levi-Civita
+    coefficients and ``omega (x) omega``, never a curvature computation."""
     coords = metric.coords
     n = coords.dim
     if n != 3:
         raise KernelError("the Einstein-Weyl residual is a 3D notion")
-    gamma = christoffel_weyl(metric, omega)
-    ric = ricci_tensor(coords, riemann_tensor(coords, gamma))
+    lc = christoffel_levi_civita(metric)
+    ric = ricci_tensor(coords, riemann_tensor(coords, lc))
+    D = coords.total_derivative
+    domega = [[D(omega[j], i) for j in range(n)] for i in range(n)]
     half = Expr.number(Fraction(1, 2))
-    sym = [[half * (ric[i][j] + ric[j][i]) for j in range(n)] for i in range(n)]
+    sym = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            # Sym nabla omega = (D_i omega_j + D_j omega_i)/2 - L^k_ij omega_k
+            nabla = half * (domega[i][j] + domega[j][i])
+            for k in range(n):
+                nabla = nabla - lc[k][i][j] * omega[k]
+            val = half * (ric[i][j] + ric[j][i]) - nabla + omega[i] * omega[j]
+            sym[i][j] = val
+            sym[j][i] = val
     inv = metric.inverse_matrix()
     trace = ZERO
     for i in range(n):
@@ -292,10 +318,6 @@ def weyl_curvature_tensor(metric: Metric) -> Dict[tuple, Expr]:
     riem_up = riemann_tensor(coords, lc)
     g = metric.matrix
     inv = metric.inverse_matrix()
-    # R_{abij} = g_{am} R^m_{bij}
-    riem = [[[[sum((g[a][m] * riem_up[m][b][i][j] for m in range(n)), ZERO)
-               for j in range(n)] for i in range(n)] for b in range(n)]
-            for a in range(n)]
     ric = ricci_tensor(coords, riem_up)
     scal = ZERO
     for i in range(n):
@@ -311,10 +333,12 @@ def weyl_curvature_tensor(metric: Metric) -> Dict[tuple, Expr]:
         for b in range(a + 1, n):
             for i in range(n):
                 for j in range(i + 1, n):
-                    c = riem[a][b][i][j] \
+                    # R_{abij} = g_{am} R^m_{bij}, lowered only here
+                    riem = sum((g[a][m] * riem_up[m][b][i][j]
+                                for m in range(n)), ZERO)
+                    out[(a, b, i, j)] = riem \
                         - (g[a][i] * P[j][b] - g[a][j] * P[i][b]
                            + g[b][j] * P[i][a] - g[b][i] * P[j][a])
-                    out[(a, b, i, j)] = c
     return out
 
 
@@ -462,6 +486,8 @@ def _pp_degree(poly: ParamPoly) -> int:
 
 def _pp_subs(poly: ParamPoly, var: Var, value: ParamPoly) -> ParamPoly:
     """Substitute ``var -> value`` (a param-poly) into a param-poly."""
+    if not any(v is var for mono in poly for v, _ in mono):
+        return dict(poly)
     out: ParamPoly = {}
     for mono, coeff in poly.items():
         e = 0

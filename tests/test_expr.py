@@ -290,6 +290,26 @@ class TestGcdAcrossVariableSets:
         _assert_gcd_matches_sympy(a, b)
         assert poly_gcd(2 * x * a, 4 * x * b) == x
 
+    def test_rational_operands_without_shared_factor(self, coords):
+        """Non-primitive rational operands that share only monomial
+        content: a single term, or the rest over disjoint variables."""
+        x, y, t = coords.var("x"), coords.var("y"), coords.var("t")
+        u, lam = coords.var("u"), coords.var("lam")
+        a = Fraction(2, 3) * x * x * y * (x * u + 1) * (x - u)
+        b = Fraction(9, 4) * x * y * t * (y * t - lam)
+        assert poly_gcd(a, b) == x * y
+        assert poly_gcd(Fraction(4, 3) * x * x * u,
+                        Fraction(6, 5) * x * (x * u + y)) == x
+        rng = random.Random(1618)
+        for _ in range(10):
+            p = random_polynomial(coords, rng, pool=[x, u], terms=4)
+            q = random_polynomial(coords, rng, pool=[y, t, lam], terms=4)
+            if p.is_zero() or q.is_zero():
+                continue
+            for mp, mq in ((x * x * y, x * y * t), (ONE, t), (y, y * y)):
+                _assert_gcd_matches_sympy(p * mp * Fraction(-5, 6),
+                                          q * mq * Fraction(7, 3))
+
     def test_shared_factor_spans_shared_variables(self, coords):
         x, y, t = coords.var("x"), coords.var("y"), coords.var("t")
         u, ux, lam = coords.var("u"), coords.jet("u", "x"), coords.var("lam")

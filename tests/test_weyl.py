@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from laxweyl import (Classification, Coordinates, Expr, ONE, ZERO,
                      conformal_metric, ew_residual, expr_sqrt, laplacian,
-                     sd_residual, solve_weyl_form)
+                     parse_document, sd_residual, solve_weyl_form)
 from laxweyl import weyl as W
 from laxweyl.errors import NoSolution
+
+from conftest import random_fraction
 
 
 class TestChristoffels:
@@ -92,6 +95,90 @@ class TestEinsteinWeylResidual:
         doc = flat_counterexample
         res = ew_residual(doc.system, doc.metric, doc.omega)
         assert res.classify() is Classification.IDENTICALLY_ZERO
+
+
+# written by perfbench/symgen.py: dKP under x -> x + t/2, metric and covector
+SHEARED_DKP_GEOMETRY = """\
+# dispersionless KP equation sheared x -> x + t/2
+
+[coords]
+base = x, y, t
+unknowns = u
+
+[equation]
+solve u_xx = (-4*u*u_tt + 4*u*u_xt - 4*u_t^2 + 4*u_t*u_x - u_x^2 + 4*u_yy - 4*u_xt)/(u - 2)
+
+[metric]
+rows = [[-4*u, 0, -2*u + 2], [0, -1, 0], [-2*u + 2, 0, -u + 2]]
+
+[weyl-form]
+omega = -2*u_t + u_x, 0, -u_t + 1/2*u_x
+"""
+
+
+def _reference_ew_raw(metric, omega) -> dict:
+    """Trace-free symmetrized Ricci of the full Weyl connection, built from
+    its Christoffel symbols and Riemann tensor."""
+    coords = metric.coords
+    n = coords.dim
+    gamma = W.christoffel_weyl(metric, omega)
+    ric = W.ricci_tensor(coords, W.riemann_tensor(coords, gamma))
+    half = Expr.number(Fraction(1, 2))
+    sym = [[half * (ric[i][j] + ric[j][i]) for j in range(n)]
+           for i in range(n)]
+    inv = metric.inverse_matrix()
+    trace = ZERO
+    for i in range(n):
+        for j in range(n):
+            trace = trace + inv[i][j] * sym[i][j]
+    third = Expr.number(Fraction(1, 3))
+    return {coords.base[i] + coords.base[j]:
+            sym[i][j] - third * trace * metric.matrix[i][j]
+            for i in range(n) for j in range(i, n)}
+
+
+def _seeded_covectors(doc, rng, count=2):
+    """The recorded covector plus ``count`` seeded rational combinations of
+    the jets of order at most one."""
+    coords = doc.coords
+    jets = [ONE] + [Expr.variable(coords.jet_var(unk, alpha))
+                    for order in (0, 1) for unk in coords.unknowns
+                    for alpha in coords.multi_indices(order)]
+    out = [list(doc.omega)]
+    for _ in range(count):
+        out.append([w + sum((j * random_fraction(rng) for j in jets), ZERO)
+                    for w in doc.omega])
+    return out
+
+
+def _assert_matches_reference(doc, omega):
+    res = ew_residual(doc.system, doc.metric, omega)
+    ref = _reference_ew_raw(doc.metric, omega)
+    assert sorted(res.raw) == sorted(ref)
+    for label, value in ref.items():
+        assert str(res.raw[label]) == str(value), label
+        assert str(res.reduced[label]) == str(doc.system.reduce(value)), label
+    return res
+
+
+class TestEinsteinWeylSplit:
+    """The split residual (Levi-Civita Ricci minus ``Sym nabla omega`` plus
+    ``omega (x) omega``) equals the Ricci tensor of the Weyl connection."""
+
+    @pytest.mark.parametrize("name", ["dkp", "master_ew", "manakov_santini",
+                                      "flat_counterexample"])
+    def test_corpus_entries(self, name, request):
+        doc = request.getfixturevalue(name)
+        rng = random.Random("ew-split-" + name)
+        for omega in _seeded_covectors(doc, rng):
+            _assert_matches_reference(doc, omega)
+
+    def test_sheared_dkp_multi_term_denominators(self):
+        doc = parse_document(SHEARED_DKP_GEOMETRY)
+        recorded, seeded = _seeded_covectors(doc, random.Random(7), count=1)
+        assert _assert_matches_reference(doc, recorded).is_zero_mod_ideal()
+        res = _assert_matches_reference(doc, seeded)
+        assert any(len(e.den) > 1 for e in res.reduced.values())
 
 
 class TestLaplacian:
