@@ -48,7 +48,7 @@ from .errors import (
     ReparametrizationError,
     DslError,
 )
-from .expr import Expr, Var, ZERO, ONE, poly_gcd, poly_divexact
+from .expr import Expr, Var, ZERO, ONE, poly_gcd, poly_divexact, expr_sqrt
 from .jets import Coordinates, pullback, grid_point
 from .ideal import SolvedEquation, SolvedSystem, rank_key
 from .conformal import (
@@ -72,7 +72,6 @@ from .weyl import (
     ricci_tensor,
     ew_residual,
     laplacian,
-    expr_sqrt,
     weyl_curvature_tensor,
     dual_on_second_pair,
     SelfDualityReport,

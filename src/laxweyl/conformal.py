@@ -23,15 +23,7 @@ from .errors import (
     PoleAtSample,
     SingularSample,
 )
-from .expr import (
-    Expr,
-    Var,
-    ZERO,
-    _p_derivative,
-    _p_divexact,
-    _p_gcd,
-    _P_ONE,
-)
+from .expr import Expr, Var, ZERO, poly_divexact, poly_gcd
 from .ideal import SolvedSystem
 from .jets import Coordinates, MultiIndex
 
@@ -75,24 +67,23 @@ def _squarefree_in_theta(coords: Coordinates, e: Expr) -> Expr:
     theta-free content removed.  ``e`` must have a theta-free denominator
     (the denominator is dropped: it rescales the variety by a nonvanishing
     factor)."""
-    num = e.num
+    num = e.numerator()
     g = num
     for name in coords.base:
-        d = _p_derivative(num, coords.theta_var(name))
-        if d:
-            g = _p_gcd(g, d)
-    sf_poly = _p_divexact(num, g)
-    sf = Expr(sf_poly, dict(_P_ONE))
+        d = num.partial(coords.theta_var(name))
+        if not d.is_zero():
+            g = poly_gcd(g, d)
+    sf = poly_divexact(num, g)
     # strip theta-free content: gcd of the theta-coefficients
     parts = theta_decompose(coords, sf)
     content = None
     for coeff in parts.values():
-        content = coeff.num if content is None else _p_gcd(content, coeff.num)
-        if len(content) == 1 and () in content:
+        content = coeff if content is None else poly_gcd(content, coeff)
+        if content.is_constant():
             content = None
             break
     if content is not None:
-        sf = Expr(_p_divexact(sf.num, content), dict(_P_ONE))
+        sf = poly_divexact(sf, content)
     return sf
 
 

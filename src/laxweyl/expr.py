@@ -21,14 +21,27 @@ Gcds first split by variable set: a common factor lies in the shared
 variables, so operands over different sets reduce to a gcd of their
 coefficients over those variables, and the subresultant PRS only ever
 sees operands over one and the same set.
+
+Other modules import no private name from this one: they work on
+:class:`Expr` values, through its methods (``numerator``, ``denominator``,
+``coeffs_in``, ``degree_in``, ``partial``, ``subs_var``, ``eval_rational``)
+and the public polynomial API:
+
+* :func:`poly_gcd` -- canonical gcd of two polynomial expressions;
+* :func:`poly_divexact` -- exact quotient, or None;
+* :func:`expr_sqrt` -- exact square root in the rational function field,
+  or None.
+
+One key, ``_m_key``, encodes the monomial order: leading monomials, the
+division heap and printing all sort by it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd as _int_gcd
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from math import gcd as _int_gcd, isqrt
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DivisionByZero, NotPolynomialIn
 
@@ -194,44 +207,10 @@ def _m_degree_in(a: Mono, v: Var) -> int:
     return 0
 
 
-def _m_cmp(a: Mono, b: Mono) -> int:
-    """Graded lexicographic comparison; smaller ``Var.key`` is more
-    significant and a larger exponent there wins."""
-    da, db = _m_degree(a), _m_degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la or j < lb:
-        if j >= lb:
-            return 1
-        if i >= la:
-            return -1
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va is vb:
-            if ea != eb:
-                return 1 if ea > eb else -1
-            i += 1
-            j += 1
-        elif va.key < vb.key:
-            return 1
-        else:
-            return -1
-    return 0
-
-
-def _m_max(monos: Iterable[Mono]) -> Mono:
-    best = None
-    for m in monos:
-        if best is None or _m_cmp(m, best) > 0:
-            best = m
-    return best
-
-
-def _m_heap_key(a: Mono) -> tuple:
-    """Tuple key whose ascending order is descending ``_m_cmp`` order, so a
-    min-heap of keys pops the leading monomial first.  Two distinct
+def _m_key(a: Mono) -> tuple:
+    """The monomial order, as a tuple key: graded lexicographic, where a
+    smaller ``Var.key`` is more significant and a larger exponent there
+    wins.  Ascending keys run from the leading monomial down.  Two distinct
     monomials of equal degree differ at some variable or exponent, so the
     comparison never falls off the end of the shorter key."""
     key = [-_m_degree(a)]
@@ -349,7 +328,7 @@ def _p_pow(a: Poly, n: int) -> Poly:
 
 
 def _p_leading(a: Poly) -> tuple:
-    m = _m_max(a.keys())
+    m = min(a, key=_m_key)
     return m, a[m]
 
 
@@ -456,7 +435,7 @@ def _p_divexact(a: Poly, b: Poly) -> Optional[Poly]:
     mb, cb = _p_leading(b)
     tail = [(m, c) for m, c in b.items() if m != mb]
     rem = dict(a)
-    heap = [(_m_heap_key(m), m) for m in rem]
+    heap = [(_m_key(m), m) for m in rem]
     heapify(heap)
     quot: Poly = {}
     while heap:
@@ -474,7 +453,7 @@ def _p_divexact(a: Poly, b: Poly) -> Optional[Poly]:
             c = rem.get(m)
             if c is None:
                 rem[m] = -qc * ct
-                heappush(heap, (_m_heap_key(m), m))
+                heappush(heap, (_m_key(m), m))
             else:
                 c -= qc * ct
                 if c:
@@ -499,9 +478,10 @@ def _p_to_univ(a: Poly, v: Var) -> dict:
                 e = ex
                 rest = m[:idx] + m[idx + 1:]
                 break
-        coeff = out.setdefault(e, {})
-        coeff[rest] = coeff.get(rest, Fraction(0)) + c
-    return {e: {m: c for m, c in p.items() if c} for e, p in out.items()}
+        # distinct monomials keep distinct rests within one exponent, and
+        # stored coefficients are never zero
+        out.setdefault(e, {})[rest] = c
+    return out
 
 
 def _p_from_univ(u: dict, v: Var) -> Poly:
@@ -1011,14 +991,10 @@ def _eval_poly(p: Poly, assignment: Mapping[Var, Fraction]) -> Fraction:
     return total
 
 
-def _fraction_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _p_str(p: Poly) -> str:
     if not p:
         return "0"
-    monos = sorted(p.keys(), key=_cmp_key, reverse=True)
+    monos = sorted(p, key=_m_key)
     parts = []
     for m in monos:
         c = p[m]
@@ -1027,30 +1003,16 @@ def _p_str(p: Poly) -> str:
             factors.append(v.name if e == 1 else "%s^%d" % (v.name, e))
         body = "*".join(factors)
         if not body:
-            term = _fraction_str(abs(c))
+            term = str(abs(c))
         elif abs(c) == 1:
             term = body
         else:
-            term = "%s*%s" % (_fraction_str(abs(c)), body)
+            term = "%s*%s" % (abs(c), body)
         if not parts:
             parts.append(term if c > 0 else "-" + term)
         else:
             parts.append((" + " if c > 0 else " - ") + term)
     return "".join(parts)
-
-
-class _CmpKey:
-    __slots__ = ("m",)
-
-    def __init__(self, m: Mono):
-        self.m = m
-
-    def __lt__(self, other: "_CmpKey") -> bool:
-        return _m_cmp(self.m, other.m) < 0
-
-
-def _cmp_key(m: Mono) -> _CmpKey:
-    return _CmpKey(m)
 
 
 ZERO = Expr.number(0)
@@ -1072,3 +1034,56 @@ def poly_divexact(a: Expr, b: Expr) -> Optional[Expr]:
     if q is None:
         return None
     return Expr(q, dict(_P_ONE))
+
+
+def expr_sqrt(e: Expr) -> Optional[Expr]:
+    """Exact square root of an expression when one exists in the rational
+    function field (None otherwise)."""
+    if e.is_zero():
+        return ZERO
+    num = _poly_sqrt(e.num)
+    if num is None:
+        return None
+    den = _poly_sqrt(e.den)
+    if den is None:
+        return None
+    return Expr(num, den)
+
+
+def _fraction_sqrt(c: Fraction) -> Optional[Fraction]:
+    if c < 0:
+        return None
+    pn, pd = isqrt(c.numerator), isqrt(c.denominator)
+    if pn * pn == c.numerator and pd * pd == c.denominator:
+        return Fraction(pn, pd)
+    return None
+
+
+def _poly_sqrt(p: Poly) -> Optional[Poly]:
+    """Square root of a polynomial when it is a perfect square: build the
+    root term by term against twice the leading root term."""
+    if not p:
+        return {}
+    lead_mono, lead_coeff = _p_leading(p)
+    if any(exp % 2 for _, exp in lead_mono):
+        return None
+    c = _fraction_sqrt(lead_coeff)
+    if c is None:
+        return None
+    half_mono = tuple((v, exp // 2) for v, exp in lead_mono)
+    root = {half_mono: c}
+    for _ in range(len(p) * len(p) + 2):
+        rem = _p_sub(p, _p_mul(root, root))
+        if not rem:
+            return root
+        rm, rc = _p_leading(rem)
+        div = _m_div(rm, half_mono)
+        if div is None:
+            return None
+        coeff = rc / (2 * c)
+        new = root.get(div, Fraction(0)) + coeff
+        if new:
+            root[div] = new
+        else:
+            root.pop(div, None)
+    return None

@@ -37,7 +37,7 @@ from .errors import (
     PoleAtSample,
     ReparametrizationError,
 )
-from .expr import Expr, Var, ZERO, ONE, _P_ONE
+from .expr import Expr, Var, ZERO, ONE
 from .ideal import SolvedSystem
 from .jets import Coordinates
 from .weyl import Classification, christoffel_weyl
@@ -382,10 +382,10 @@ def _clear_lambda_denominators(coords: Coordinates,
     """Multiply all functions by the product of their denominators (a
     nonzero common factor does not change linear dependence over the
     lambda-free field)."""
-    dens = [Expr(dict(f.den), dict(_P_ONE)) for f in funcs]
+    dens = [f.denominator() for f in funcs]
     out = []
     for i, f in enumerate(funcs):
-        g = Expr(dict(f.num), dict(_P_ONE))
+        g = f.numerator()
         for j, d in enumerate(dens):
             if j != i:
                 g = g * d

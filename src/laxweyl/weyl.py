@@ -34,23 +34,12 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import Metric
 from .errors import KernelError, NoSolution
-from .expr import (
-    Expr,
-    Var,
-    ZERO,
-    ONE,
-    KIND_PARAM,
-    _m_div,
-    _m_degree,
-    _p_leading,
-    _p_mul,
-    _p_sub,
-)
+from .expr import Expr, Var, ZERO, ONE, KIND_PARAM, expr_sqrt
 from .ideal import SolvedSystem
 from .jets import Coordinates
 
@@ -244,59 +233,6 @@ def laplacian(metric: Metric, f: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_sqrt(c: Fraction) -> Optional[Fraction]:
-    if c < 0:
-        return None
-    pn, pd = isqrt(c.numerator), isqrt(c.denominator)
-    if pn * pn == c.numerator and pd * pd == c.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-def expr_sqrt(e: Expr) -> Optional[Expr]:
-    """Exact square root of an expression when one exists in the rational
-    function field (None otherwise)."""
-    if e.is_zero():
-        return ZERO
-    num = _poly_sqrt(e.num)
-    if num is None:
-        return None
-    den = _poly_sqrt(e.den)
-    if den is None:
-        return None
-    return Expr(num, den)
-
-
-def _poly_sqrt(p) -> Optional[dict]:
-    """Square root of a polynomial dict when it is a perfect square: build
-    the root term by term against twice the leading root term."""
-    if not p:
-        return {}
-    lead_mono, lead_coeff = _p_leading(p)
-    if any(exp % 2 for _, exp in lead_mono):
-        return None
-    c = _fraction_sqrt(lead_coeff)
-    if c is None:
-        return None
-    half_mono = tuple((v, exp // 2) for v, exp in lead_mono)
-    root = {half_mono: c}
-    for _ in range(len(p) * len(p) + 2):
-        rem = _p_sub(p, _p_mul(root, root))
-        if not rem:
-            return root
-        rm, rc = _p_leading(rem)
-        div = _m_div(rm, half_mono)
-        if div is None:
-            return None
-        coeff = rc / (2 * c)
-        new = root.get(div, Fraction(0)) + coeff
-        if new:
-            root[div] = new
-        else:
-            root.pop(div, None)
-    return None
-
-
 _EPS4 = {}
 for perm in itertools.permutations(range(4)):
     sign = 1
@@ -480,10 +416,6 @@ def _param_equations(e: Expr) -> List[ParamPoly]:
     return eqs
 
 
-def _pp_degree(poly: ParamPoly) -> int:
-    return max(_m_degree(m) for m in poly)
-
-
 def _pp_subs(poly: ParamPoly, var: Var, value: ParamPoly) -> ParamPoly:
     """Substitute ``var -> value`` (a param-poly) into a param-poly."""
     if not any(v is var for mono in poly for v, _ in mono):
@@ -522,10 +454,8 @@ def _pp_mono_mul(a: tuple, b: tuple) -> tuple:
 def _rational_roots(coeffs: Dict[int, Fraction]) -> List[Fraction]:
     """All rational roots of a univariate polynomial given as
     {degree: coefficient}."""
-    lcm = 1
-    for c in coeffs.values():
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-    ints = {d: int(c * lcm) for d, c in coeffs.items()}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    ints = {d: int(c * den) for d, c in coeffs.items()}
     degs = sorted(ints)
     low = degs[0]
     if low > 0:
@@ -544,12 +474,6 @@ def _rational_roots(coeffs: Dict[int, Fraction]) -> List[Fraction]:
                 if val == 0:
                     roots.append(cand)
     return sorted(set(roots))
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> List[int]:

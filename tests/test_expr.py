@@ -5,15 +5,17 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 
 import pytest
 import sympy
 from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
                                         standard_transformations)
 
-from laxweyl import Coordinates, Expr, ONE, ZERO, poly_divexact, poly_gcd
+from laxweyl import (Coordinates, Expr, ONE, ZERO, Var, poly_divexact,
+                     poly_gcd)
 from laxweyl.errors import DivisionByZero, NotPolynomialIn
+from laxweyl.expr import _m_key, _p_leading
 
 from conftest import atom_pool, random_fraction, random_polynomial, random_rational
 
@@ -389,3 +391,142 @@ class TestPrintingRoundTrip:
         rng = random.Random(77)
         again = [str(random_rational(coords, rng, pool=pool)) for _ in range(5)]
         assert seen == again
+
+
+def _reference_cmp(a: tuple, b: tuple) -> int:
+    """The graded lexicographic comparison of monomials, written out:
+    higher degree wins; at equal degree the first position where the
+    monomials differ decides, where a smaller ``Var.key`` is more
+    significant and a larger exponent there wins."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    i = j = 0
+    while i < len(a) or j < len(b):
+        if j >= len(b):
+            return 1
+        if i >= len(a):
+            return -1
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va is vb:
+            if ea != eb:
+                return 1 if ea > eb else -1
+            i += 1
+            j += 1
+        elif va.key < vb.key:
+            return 1
+        else:
+            return -1
+    return 0
+
+
+_ORDER_VARS = [Var.base("x"), Var.base("t"), Var.spectral("lam"),
+               Var.theta("x"), Var.theta("y"), Var.param("c_x_0"),
+               Var.param("c_t_3"), Var.jet("u", ()), Var.jet("u", ("x",)),
+               Var.jet("u", ("x", "y")), Var.jet("v", ("t",))]
+
+
+def _monomial(exponents: dict) -> tuple:
+    return tuple(sorted(((v, e) for v, e in exponents.items() if e),
+                        key=lambda t: t[0].key))
+
+
+def _seeded_monomials(rng: random.Random, count: int) -> list:
+    """Random monomials over all five variable kinds, each followed by an
+    equal-degree partner that differs from it only in two exponents."""
+    out = []
+    for _ in range(count):
+        chosen = rng.sample(_ORDER_VARS, rng.randint(0, 4))
+        exps = {v: rng.randint(1, 4) for v in chosen}
+        out.append(_monomial(exps))
+        if len(chosen) >= 2:
+            a, b = rng.sample(chosen, 2)
+            if exps[a] > 1:
+                moved = dict(exps)
+                moved[a] -= 1
+                moved[b] += 1
+                out.append(_monomial(moved))
+    return out
+
+
+class TestMonomialOrder:
+    """``_m_key`` is the one encoding of the monomial order; it must agree
+    with the comparison written out in ``_reference_cmp``."""
+
+    def test_all_kinds_present(self):
+        assert {v.kind for v in _ORDER_VARS} == set(range(5))
+
+    def test_sorting_matches_reference(self):
+        rng = random.Random(4242)
+        monos = list(set(_seeded_monomials(rng, 300)))
+        assert len(monos) > 300
+        want = sorted(monos, key=cmp_to_key(_reference_cmp), reverse=True)
+        assert sorted(monos, key=_m_key) == want
+
+    def test_equal_degree_exponent_pairs(self):
+        x, t, u = Var.base("x"), Var.base("t"), Var.jet("u", ())
+        pairs = [(_monomial({x: 2, t: 1}), _monomial({x: 1, t: 2})),
+                 (_monomial({x: 1, u: 3}), _monomial({x: 2, u: 2})),
+                 (_monomial({t: 3, u: 1}), _monomial({t: 1, u: 3}))]
+        for a, b in pairs:
+            assert _reference_cmp(a, b) != 0
+            assert (_m_key(a) < _m_key(b)) == (_reference_cmp(a, b) > 0)
+
+    def test_leading_term_matches_reference(self):
+        rng = random.Random(99)
+        for _ in range(200):
+            monos = _seeded_monomials(rng, rng.randint(1, 6))
+            poly = {m: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                    for m in monos}
+            lead, coeff = _p_leading(poly)
+            best = max(poly, key=cmp_to_key(_reference_cmp))
+            assert lead == best and coeff == poly[best]
+
+
+class TestSubsVar:
+    """``Expr.subs_var`` against sympy's ``p.subs(v, q)``, expanded for
+    polynomials and cancelled for rational functions."""
+
+    def _check(self, p: Expr, v: Var, q: Expr) -> None:
+        got = p.subs_var(v, q)
+        want = to_sympy(p).subs(sympy.Symbol(v.name), to_sympy(q))
+        if p.is_polynomial() and q.is_polynomial():
+            assert got.is_polynomial()
+        assert sympy.cancel(to_sympy(got) - want) == 0, (str(p), v, str(q))
+
+    def test_seeded_against_sympy(self, coords):
+        rng = random.Random(1618)
+        pool = atom_pool(coords, max_order=1)
+        x, u = coords.var("x"), coords.jet("u", "")
+        xv = coords.base_var("x")
+        for _ in range(25):
+            p = random_polynomial(coords, rng, pool=pool, terms=5, factors=3)
+            p = p + random_fraction(rng) * x ** rng.randint(3, 5) * u
+            q = random_polynomial(coords, rng, pool=pool, terms=3, factors=2)
+            self._check(p, xv, q)
+
+    def test_special_values(self, coords):
+        x, y, u = coords.var("x"), coords.var("y"), coords.jet("u", "")
+        xv = coords.base_var("x")
+        p = 3 * x ** 4 * y - x ** 3 + Fraction(1, 2) * x * u + y - 7
+        for q in (ZERO, Expr.number(Fraction(-2, 3)), y * u - 1,
+                  x + y, u ** 2 + 3 * y * u - Fraction(1, 5)):
+            self._check(p, xv, q)
+        assert p.subs_var(xv, ZERO) == y - 7
+        assert ZERO.subs_var(xv, y) == ZERO
+
+    def test_absent_variable(self, coords):
+        y, u = coords.var("y"), coords.jet("u", "")
+        p = y ** 3 - 2 * u * y + 1
+        assert p.subs_var(coords.base_var("x"), u + 5) == p
+        self._check(p, coords.base_var("x"), u + 5)
+
+    def test_rational_arguments(self, coords):
+        x, y, u = coords.var("x"), coords.var("y"), coords.jet("u", "")
+        xv = coords.base_var("x")
+        self._check(x / y, xv, y)
+        self._check(x * y, xv, 1 / y)
+        self._check((x ** 3 - u) / (x + y), xv, (u + 1) / (y - 2))
+        assert (x / y).subs_var(xv, y) == ONE
+        with pytest.raises(DivisionByZero):
+            (u / (x - y)).subs_var(xv, y)

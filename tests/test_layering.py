@@ -1,0 +1,40 @@
+"""Layering: only ``laxweyl.expr`` knows the kernel's private helpers."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import laxweyl
+
+PACKAGE = Path(laxweyl.__file__).resolve().parent
+
+
+def private_expr_imports(source: str) -> list:
+    """Names starting with ``_`` that ``source`` imports from the ``expr``
+    module, relatively or by its full name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        relative = node.level == 1 and node.module == "expr"
+        if relative or node.module == "laxweyl.expr":
+            found.extend(a.name for a in node.names
+                         if a.name.startswith("_"))
+    return found
+
+
+def test_guard_sees_private_imports():
+    assert private_expr_imports(
+        "from .expr import Expr, _p_gcd\nfrom laxweyl.expr import _P_ONE"
+    ) == ["_p_gcd", "_P_ONE"]
+    assert private_expr_imports(
+        "from .expr import Expr, poly_gcd\nfrom .jets import _x") == []
+
+
+def test_no_module_but_expr_imports_expr_privates():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert any(m.name == "weyl.py" for m in modules)
+    offenders = {m.name: private_expr_imports(m.read_text())
+                 for m in modules if m.name != "expr.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
