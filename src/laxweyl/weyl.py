@@ -26,11 +26,23 @@ with ``TF(S) = S - (1/3) tr_g(S) g`` and ``(nabla omega)_{ij} = D_i omega_j
 ``n`` both ``omega`` terms carry the factor ``n - 2``, with these signs for
 the conventions above.  :func:`ew_residual` computes the right-hand side,
 so curvature is only taken of the parameter-free Levi-Civita connection.
+
+In four dimensions :func:`weyl_curvature_tensor` builds the lowered
+Levi-Civita curvature ``R_{lkij} = g_{la} R^a_{kij}`` (same convention as
+above) straight from first and second total derivatives of the metric:
+
+    R_{lkij} = 1/2 (D_k D_i g_{lj} + D_l D_j g_{ki}
+                    - D_l D_i g_{kj} - D_k D_j g_{li})
+               + g^{ab} (Gamma_{a,jl} Gamma_{b,ik} - Gamma_{a,il} Gamma_{b,jk})
+
+with the first-kind symbols ``Gamma_{a,jk} = 1/2 (D_j g_{ak} + D_k g_{aj}
+- D_a g_{jk})``, polynomial when ``g`` is.  Only the 21 pairs
+``(l, k) <= (i, j)`` are computed; pair symmetry and antisymmetry give the
+rest, and Ricci is contracted directly as ``Ric_{kj} = g^{il} R_{lkij}``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -233,15 +245,72 @@ def laplacian(metric: Metric, f: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-_EPS4 = {}
-for perm in itertools.permutations(range(4)):
-    sign = 1
-    lst = list(perm)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if lst[a] > lst[b]:
-                sign = -sign
-    _EPS4[perm] = sign
+_PAIRS4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+
+def _complement_with_sign(k: int, l: int) -> tuple:
+    """The pair ``(m, n)``, ``m < n``, complementary to ``(k, l)``, and the
+    sign ``eps_{klmn}`` of the permutation ``(k, l, m, n)``."""
+    m, n = (x for x in range(4) if x not in (k, l))
+    perm = (k, l, m, n)
+    inversions = sum(perm[s] > perm[t] for s in range(4) for t in range(s + 1, 4))
+    return (m, n), (-1) ** inversions
+
+
+# without the volume factor, the star on an index pair is a signed permutation
+_STAR4 = {pair: _complement_with_sign(*pair) for pair in _PAIRS4}
+
+
+def _lowered_riemann(metric: Metric) -> Dict[tuple, Expr]:
+    """Levi-Civita ``R_{lkij} = g_{la} R^a_{kij}`` of a 4D metric on the keys
+    ``l < k``, ``i < j``, from the formula in the module docstring: the 21
+    pairs ``(l, k) <= (i, j)``, mirrored by pair symmetry."""
+    coords = metric.coords
+    n = coords.dim
+    g = metric.matrix
+    inv = metric.inverse_matrix()
+    D = coords.total_derivative
+    # dg[a][b][i] = D_i g_ab, ddg[a][b][i][j] = D_i D_j g_ab
+    dg = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    ddg = [[[[ZERO] * n for _ in range(n)] for _ in range(n)]
+           for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if g[a][b].is_constant():
+                continue
+            for i in range(n):
+                d = D(g[a][b], i)
+                dg[a][b][i] = dg[b][a][i] = d
+                if d.is_constant():
+                    continue
+                for j in range(i, n):
+                    dd = D(d, j)
+                    ddg[a][b][i][j] = ddg[a][b][j][i] = dd
+                    ddg[b][a][i][j] = ddg[b][a][j][i] = dd
+    half = Expr.number(Fraction(1, 2))
+    # first kind gamma1[a][j][k] = Gamma_{a,jk}, second kind gamma2 = g^-1 gamma1
+    gamma1 = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                gamma1[a][j][k] = gamma1[a][k][j] = half * (
+                    dg[a][k][j] + dg[a][j][k] - dg[j][k][a])
+    gamma2 = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                gamma2[a][j][k] = gamma2[a][k][j] = sum(
+                    (inv[a][b] * gamma1[b][j][k] for b in range(n)), ZERO)
+    out: Dict[tuple, Expr] = {}
+    for p, (l, k) in enumerate(_PAIRS4):
+        for i, j in _PAIRS4[p:]:
+            val = half * (ddg[l][j][k][i] + ddg[k][i][l][j]
+                          - ddg[k][j][l][i] - ddg[l][i][k][j])
+            for a in range(n):
+                val = val + gamma1[a][j][l] * gamma2[a][i][k] \
+                          - gamma1[a][i][l] * gamma2[a][j][k]
+            out[(l, k, i, j)] = out[(i, j, l, k)] = val
+    return out
 
 
 def weyl_curvature_tensor(metric: Metric) -> Dict[tuple, Expr]:
@@ -250,11 +319,18 @@ def weyl_curvature_tensor(metric: Metric) -> Dict[tuple, Expr]:
     follow by antisymmetry)."""
     coords = metric.coords
     n = coords.dim
-    lc = christoffel_levi_civita(metric)
-    riem_up = riemann_tensor(coords, lc)
+    if n != 4:
+        raise KernelError("the conformal Weyl tensor is computed in 4D only")
     g = metric.matrix
     inv = metric.inverse_matrix()
-    ric = ricci_tensor(coords, riem_up)
+    riem = _lowered_riemann(metric)
+    # Ric_{kj} = g^{il} R_{lkij}, symmetric for the Levi-Civita connection
+    ric = [[ZERO] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k, n):
+            ric[k][j] = ric[j][k] = sum(
+                (inv[i][l] * _weyl_component(riem, l, k, i, j)
+                 for i in range(n) for l in range(n)), ZERO)
     scal = ZERO
     for i in range(n):
         for j in range(n):
@@ -265,20 +341,17 @@ def weyl_curvature_tensor(metric: Metric) -> Dict[tuple, Expr]:
     P = [[half * (ric[i][j] - sixth * scal * g[i][j]) for j in range(n)]
          for i in range(n)]
     out: Dict[tuple, Expr] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    # R_{abij} = g_{am} R^m_{bij}, lowered only here
-                    riem = sum((g[a][m] * riem_up[m][b][i][j]
-                                for m in range(n)), ZERO)
-                    out[(a, b, i, j)] = riem \
-                        - (g[a][i] * P[j][b] - g[a][j] * P[i][b]
-                           + g[b][j] * P[i][a] - g[b][i] * P[j][a])
+    for a, b in _PAIRS4:
+        for i, j in _PAIRS4:
+            out[(a, b, i, j)] = riem[(a, b, i, j)] \
+                - (g[a][i] * P[j][b] - g[a][j] * P[i][b]
+                   + g[b][j] * P[i][a] - g[b][i] * P[j][a])
     return out
 
 
 def _weyl_component(c: Dict[tuple, Expr], a: int, b: int, i: int, j: int) -> Expr:
+    """Any component of a tensor antisymmetric in each index pair, stored on
+    the keys ``a < b``, ``i < j``."""
     if a == b or i == j:
         return ZERO
     sign = 1
@@ -299,39 +372,21 @@ def dual_on_second_pair(metric: Metric,
     permutation symbol ``eps`` (the metric volume factor is handled by the
     caller through the square root of ``det g``)."""
     coords = metric.coords
-    n = coords.dim
+    if coords.dim != 4:
+        raise KernelError("the star on index pairs is computed in 4D only")
     inv = metric.inverse_matrix()
-    half = Expr.number(Fraction(1, 2))
-    # raise the second pair once: C_{ab}^{pq}
-    raised: Dict[tuple, Expr] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            for p in range(n):
-                for q in range(p + 1, n):
-                    val = ZERO
-                    for m in range(n):
-                        for l in range(n):
-                            cv = _weyl_component(c, a, b, m, l)
-                            if not cv.is_zero():
-                                val = val + inv[p][m] * inv[q][l] * cv
-                    raised[(a, b, p, q)] = val
+    # C_{ab}^{mn} = sum over p < q of the 2x2 minor of g^-1 on rows (m, n)
+    # and columns (p, q) times C_{abpq}; the 1/2 eps sum then keeps the one
+    # pair m < n complementary to (k, l)
+    minors = {(m, n, p, q): inv[m][p] * inv[n][q] - inv[m][q] * inv[n][p]
+              for m, n in _PAIRS4 for p, q in _PAIRS4}
     out: Dict[tuple, Expr] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    val = ZERO
-                    for p in range(n):
-                        for q in range(n):
-                            eps = _EPS4.get((k, l, p, q), 0)
-                            if eps == 0:
-                                continue
-                            if p < q:
-                                term = raised[(a, b, p, q)]
-                            else:
-                                term = -raised[(a, b, q, p)]
-                            val = val + Expr.number(eps) * term
-                    out[(a, b, k, l)] = half * val
+    for a, b in _PAIRS4:
+        for k, l in _PAIRS4:
+            (m, n), sign = _STAR4[(k, l)]
+            val = sum((minors[(m, n, p, q)] * c[(a, b, p, q)]
+                       for p, q in _PAIRS4), ZERO)
+            out[(a, b, k, l)] = val if sign > 0 else -val
     return out
 
 

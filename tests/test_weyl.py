@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
+                                        standard_transformations)
 
-from laxweyl import (Classification, Coordinates, Expr, ONE, ZERO,
+from laxweyl import (Classification, Coordinates, Expr, Metric, ONE, ZERO,
                      conformal_metric, ew_residual, expr_sqrt, laplacian,
-                     parse_document, sd_residual, solve_weyl_form)
+                     parse_document, parse_expression, sd_residual,
+                     solve_weyl_form)
 from laxweyl import weyl as W
-from laxweyl.errors import NoSolution
+from laxweyl.errors import KernelError, NoSolution
 
 from conftest import random_fraction
 
@@ -294,3 +299,211 @@ class TestSelfDuality:
                     for k in range(n):
                         tr = tr + inv[i][k] * component(i, j, k, l)
                 assert tr.is_zero()
+
+
+# written by perfbench/symgen.py: the second heavenly equation under seeded
+# diagonal rescalings, equation and metric
+SCALED_HEAVENLY = [
+    """\
+[coords]
+base = z, x, y, t
+unknowns = u
+
+[equation]
+solve u_zx = -25/96*u_yt - 3/80*u_yy*u_xx + 3/80*u_xy^2
+
+[metric]
+rows = [[-1/16*u_yy, 5/6, 0, 6/25*u_xy], [5/6, 0, 0, 0], [0, 0, 0, 16/5], [6/25*u_xy, 0, 16/5, -576/625*u_xx]]
+""",
+    """\
+[coords]
+base = z, x, y, t
+unknowns = u
+
+[equation]
+solve u_zx = -36/125*u_yt + 6*u_yy*u_xx - 6*u_xy^2
+
+[metric]
+rows = [[-144/25*u_yy, -12/25, 0, 20*u_xy], [-12/25, 0, 0, 0], [0, 0, 0, -5/3], [20*u_xy, 0, -5/3, -625/9*u_xx]]
+""",
+    """\
+[coords]
+base = z, x, y, t
+unknowns = u
+
+[equation]
+solve u_zx = -3/20*u_yt + 36/5*u_yy*u_xx - 36/5*u_xy^2
+
+[metric]
+rows = [[-36*u_yy, -5/2, 0, 240*u_xy], [-5/2, 0, 0, 0], [0, 0, 0, -50/3], [240*u_xy, 0, -50/3, -1600*u_xx]]
+""",
+]
+
+
+def _weyl_inputs(doc) -> dict:
+    """The second heavenly metric, two rational metrics with non-constant
+    determinant made from it, and its scaled images."""
+    c = doc.coords
+    g = doc.metric.matrix
+    f = 1 + c.jet("u", "xy")
+    rows = [list(row) for row in g]
+    rows[0][0] = c.jet("u", "x") / (1 + c.jet("u", "t"))
+    out = {"corpus": doc.metric,
+           "times_1_plus_u_xy": Metric(c, [[f * x for x in row] for row in g]),
+           "g_zz_rational": Metric(c, rows)}
+    for k, text in enumerate(SCALED_HEAVENLY):
+        out["scaled_%d" % k] = parse_document(text).metric
+    return out
+
+
+def _reference_weyl(metric) -> dict:
+    """Conformal Weyl tensor through the mixed curvature: Levi-Civita
+    symbols, every ``R^l_kij``, Ricci, Schouten, then lowering."""
+    coords = metric.coords
+    n = coords.dim
+    riem_up = W.riemann_tensor(coords, W.christoffel_levi_civita(metric))
+    ric = W.ricci_tensor(coords, riem_up)
+    g = metric.matrix
+    inv = metric.inverse_matrix()
+    scal = sum((inv[i][j] * ric[i][j] for i in range(n) for j in range(n)),
+               ZERO)
+    P = [[(ric[i][j] - scal * g[i][j] / 6) / 2 for j in range(n)]
+         for i in range(n)]
+    out = {}
+    for a, b, i, j in itertools.product(range(n), repeat=4):
+        if a < b and i < j:
+            riem = sum((g[a][m] * riem_up[m][b][i][j] for m in range(n)),
+                       ZERO)
+            out[(a, b, i, j)] = riem - (g[a][i] * P[j][b] - g[a][j] * P[i][b]
+                                        + g[b][j] * P[i][a]
+                                        - g[b][i] * P[j][a])
+    return out
+
+
+def _permutation_sign(perm) -> int:
+    inversions = sum(perm[s] > perm[t] for s in range(len(perm))
+                     for t in range(s + 1, len(perm)))
+    return -1 if inversions % 2 else 1
+
+
+def _reference_dual(metric, c) -> dict:
+    """``1/2 eps_{klmn} g^{mp} g^{nq} C_{abpq}``, summed over every index."""
+    n = metric.coords.dim
+    inv = metric.inverse_matrix()
+    eps = {perm: _permutation_sign(perm)
+           for perm in itertools.permutations(range(n))}
+    out = {}
+    for a, b in itertools.combinations(range(n), 2):
+        for k, l in itertools.combinations(range(n), 2):
+            val = ZERO
+            for m, nn, p, q in itertools.product(range(n), repeat=4):
+                if (k, l, m, nn) in eps:
+                    val = val + eps[(k, l, m, nn)] * inv[m][p] * inv[nn][q] \
+                        * W._weyl_component(c, a, b, p, q)
+            out[(a, b, k, l)] = val / 2
+    return out
+
+
+class TestWeylTensor4D:
+    """The Weyl tensor from second derivatives of the metric, against the
+    path through the mixed curvature tensor."""
+
+    @pytest.mark.parametrize("which", ["corpus", "times_1_plus_u_xy",
+                                       "g_zz_rational", "scaled_0",
+                                       "scaled_1", "scaled_2"])
+    def test_matches_reference(self, which, second_heavenly):
+        g = _weyl_inputs(second_heavenly)[which]
+        c = W.weyl_curvature_tensor(g)
+        ref = _reference_weyl(g)
+        assert list(c) == list(ref)
+        for key, value in ref.items():
+            assert str(c[key]) == str(value), key
+        v = W.dual_on_second_pair(g, c)
+        ref_v = _reference_dual(g, ref)
+        assert list(v) == list(ref_v)
+        for key, value in ref_v.items():
+            assert str(v[key]) == str(value), key
+
+    def test_conformal_covariance(self, second_heavenly):
+        metrics = _weyl_inputs(second_heavenly)
+        f = 1 + second_heavenly.coords.jet("u", "xy")
+        c = W.weyl_curvature_tensor(metrics["corpus"])
+        scaled = W.weyl_curvature_tensor(metrics["times_1_plus_u_xy"])
+        assert any(not value.is_zero() for value in c.values())
+        for key, value in c.items():
+            assert scaled[key] == f * value, key
+
+    def test_pair_symmetry(self, second_heavenly):
+        for g in _weyl_inputs(second_heavenly).values():
+            c = W.weyl_curvature_tensor(g)
+            for (a, b, i, j), value in c.items():
+                assert c[(i, j, a, b)] == value
+
+    def test_three_dimensions_rejected(self, dkp):
+        g = conformal_metric(dkp.system)
+        with pytest.raises(KernelError):
+            W.weyl_curvature_tensor(g)
+        with pytest.raises(KernelError):
+            W.dual_on_second_pair(g, {})
+
+
+_SYMPY_TRANSFORMS = standard_transformations + (convert_xor,)
+
+# rational in the base coordinates only, with non-constant determinant
+# -y*(x^3*t^2 + z)/(1 + z*t); every term of the lowered curvature formula
+# contributes
+BASE_METRIC_ROWS = [["x*y", "1", "0", "0"], ["1", "0", "0", "x*t"],
+                    ["0", "0", "1/(1 + z*t)", "0"], ["0", "x*t", "0", "y*z"]]
+
+
+def _sympy_weyl(rows, names: str) -> tuple:
+    """Textbook Weyl tensor in sympy's rational function field: Christoffel
+    symbols ``G^k_ij``, ``R^r_smv = d_m G^r_vs - d_v G^r_ms + G^r_ml G^l_vs
+    - G^r_vl G^l_ms``, ``Ric_sv = R^r_srv``, Schouten ``P = (Ric - S g/6)/2``
+    and ``C = Rm - g (Kulkarni-Nomizu) P``."""
+    K, *X = sympy.field(names, sympy.QQ)
+    n = len(X)
+    zero = K(0)
+    g_expr = sympy.Matrix([[parse_expr(e, transformations=_SYMPY_TRANSFORMS)
+                            for e in row] for row in rows])
+    gi = [[K(e) for e in row] for row in g_expr.inv().tolist()]
+    g = [[K(e) for e in row] for row in g_expr.tolist()]
+
+    def d(e, i):
+        return e.diff(X[i])
+
+    G = [[[sum((gi[k][l] * (d(g[l][i], j) + d(g[l][j], i) - d(g[i][j], l))
+                for l in range(n)), zero) / 2
+           for j in range(n)] for i in range(n)] for k in range(n)]
+    R = [[[[d(G[r][v][s], m) - d(G[r][m][s], v)
+            + sum((G[r][m][l] * G[l][v][s] - G[r][v][l] * G[l][m][s]
+                   for l in range(n)), zero)
+            for v in range(n)] for m in range(n)] for s in range(n)]
+         for r in range(n)]
+    ric = [[sum((R[r][s][r][v] for r in range(n)), zero) for v in range(n)]
+           for s in range(n)]
+    scal = sum((gi[s][v] * ric[s][v] for s in range(n) for v in range(n)),
+               zero)
+    P = [[(ric[a][b] - scal * g[a][b] / 6) / 2 for b in range(n)]
+         for a in range(n)]
+    out = {}
+    for a, b in itertools.combinations(range(n), 2):
+        for c, e in itertools.combinations(range(n), 2):
+            low = sum((g[a][r] * R[r][b][c][e] for r in range(n)), zero)
+            out[(a, b, c, e)] = low - (g[a][c] * P[b][e] - g[a][e] * P[b][c]
+                                       + g[b][e] * P[a][c]
+                                       - g[b][c] * P[a][e])
+    return K, out
+
+
+class TestWeylTensorSympy:
+    def test_base_coordinate_metric(self, coords4):
+        K, ref = _sympy_weyl(BASE_METRIC_ROWS, ",".join(coords4.base))
+        g = Metric(coords4, [[parse_expression(e, coords4) for e in row]
+                             for row in BASE_METRIC_ROWS])
+        c = W.weyl_curvature_tensor(g)
+        assert sorted(c) == sorted(ref)
+        assert sum(value != 0 for value in ref.values()) == 34
+        for key, value in ref.items():
+            mine = parse_expr(str(c[key]), transformations=_SYMPY_TRANSFORMS)
+            assert K(mine) == value, key
