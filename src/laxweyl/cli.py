@@ -195,8 +195,7 @@ def _cmd_ew_check(args) -> _Outcome:
         lines.append("using the recorded covector")
     else:
         try:
-            solution = solve_weyl_form(doc.system, metric=metric,
-                                       ansatz_order=args.ansatz_order)
+            solution = solve_weyl_form(doc.system, metric=metric)
         except NoSolution as exc:
             payload = {"classification": "no-covector", "reason": str(exc),
                        "diagnostics": {
@@ -315,8 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve-omega", action="store_true",
                    help="search for the covector even when the document "
                         "records one")
-    p.add_argument("--ansatz-order", type=int, default=None, metavar="N",
-                   help="jet order of the covector ansatz")
     p.set_defaults(handler=_cmd_ew_check)
 
     sd = sub.add_parser("sd", help="self-duality commands")

@@ -149,14 +149,6 @@ class Metric:
             self._inverse = linalg.invert(self.matrix, what="metric")
         return self._inverse
 
-    def quadratic_form(self, vec: Sequence[Expr]) -> Expr:
-        n = self.coords.dim
-        total = ZERO
-        for i in range(n):
-            for j in range(n):
-                total = total + self.matrix[i][j] * vec[i] * vec[j]
-        return total
-
     def components(self) -> List[Expr]:
         """Upper-triangular components in deterministic order."""
         n = self.coords.dim
@@ -222,8 +214,10 @@ def invert_to_metric(quadric: Quadric,
 
 
 def conformal_metric(system: SolvedSystem) -> Metric:
-    """The canonical conformal structure: characteristic quadric, inverted."""
-    return invert_to_metric(characteristic_quadric(system), system)
+    """The canonical conformal structure: characteristic quadric, inverted.
+    :func:`characteristic_quadric` has already rejected a quadric that is
+    degenerate modulo the system."""
+    return characteristic_quadric(system).to_metric()
 
 
 def conformal_equal(a: Metric, b: Metric,

@@ -9,7 +9,11 @@ line), written in the positional frame fixed by the coordinate order
        ``Y = D_2 - gamma D_3 - delta D_4 + n d/dlam``
 
 where ``D_i`` are total derivatives (the coefficients are jet expressions,
-rational in the spectral parameter).  The commutator ``[X, Y]`` has no
+rational in the spectral parameter).  The transverse coefficients fill the
+``D_3``/``D_4`` slots of X and then of Y in name order, so ``beta`` is Y's
+slot in 3D but X's second slot in 4D.  ``LaxPair._slots`` is the only place
+that knows this: everything else goes through the slots or iterates
+:meth:`LaxPair.coefficients`.  The commutator ``[X, Y]`` has no
 ``D_1``/``D_2`` component, so integrability is measured by its remaining
 slots: the *horizontal* residuals (coefficients of ``D_3``/``D_4``) and the
 *vertical* residual (coefficient of ``d/dlam``).  The pair is a Lax pair for
@@ -20,10 +24,10 @@ differential ideal without vanishing identically off-shell.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .conformal import Metric, Quadric
@@ -40,7 +44,7 @@ from .errors import (
 from .expr import Expr, Var, ZERO, ONE
 from .ideal import SolvedSystem
 from .jets import Coordinates
-from .weyl import Classification, christoffel_weyl
+from .weyl import christoffel_weyl, first_nonzero
 
 
 class LaxVerdict(Enum):
@@ -72,74 +76,74 @@ class LaxPair:
 
     # -- frame components ----------------------------------------------------
 
+    def coefficients(self) -> Dict[str, Expr]:
+        """Every coefficient by field name, in the order ``alpha, beta[,
+        gamma, delta], m, n``."""
+        names = ("alpha", "beta", "m", "n") if self.coords.dim == 3 else (
+            "alpha", "beta", "gamma", "delta", "m", "n")
+        return {name: getattr(self, name) for name in names}
+
+    def _slots(self) -> Tuple[List[Expr], List[Expr]]:
+        """The transverse coefficients of X and of Y: entry ``k`` of each
+        multiplies ``-D_{3+k}``."""
+        if self.coords.dim == 3:
+            return [self.alpha], [self.beta]
+        return [self.alpha, self.beta], [self.gamma, self.delta]
+
     def x_components(self) -> List[Expr]:
         """Downstairs components of X in base order."""
-        if self.coords.dim == 3:
-            return [ONE, ZERO, -self.alpha]
-        return [ONE, ZERO, -self.alpha, -self.beta]
+        return [ONE, ZERO] + [-c for c in self._slots()[0]]
 
     def y_components(self) -> List[Expr]:
-        if self.coords.dim == 3:
-            return [ZERO, ONE, -self.beta]
-        return [ZERO, ONE, -self.gamma, -self.delta]
+        return [ZERO, ONE] + [-c for c in self._slots()[1]]
 
     def null_covector(self) -> List[Expr]:
         """3D only: the covector ``d b3 + alpha d b1 + beta d b2``
         annihilating the span of X and Y."""
         if self.coords.dim != 3:
             raise KernelError("null_covector is a 3D notion")
-        return [self.alpha, self.beta, ONE]
+        return self.annihilator_covectors()[0]
 
     def annihilator_covectors(self) -> List[List[Expr]]:
         """A basis of the covectors annihilating the span of X and Y:
-        one covector in 3D, two in 4D."""
-        if self.coords.dim == 3:
-            return [self.null_covector()]
-        return [[self.alpha, self.gamma, ONE, ZERO],
-                [self.beta, self.delta, ZERO, ONE]]
+        ``d b_{3+k} + xs[k] d b1 + ys[k] d b2`` for each transverse slot
+        ``k`` (one covector in 3D, two in 4D)."""
+        xs, ys = self._slots()
+        return [[x, y] + [ONE if j == k else ZERO for j in range(len(xs))]
+                for k, (x, y) in enumerate(zip(xs, ys))]
 
     def _lam(self) -> Var:
         return self.coords.spectral_var()
 
-    def apply_x(self, e: Expr) -> Expr:
-        """Full action of X (total-derivative part plus vertical part)."""
+    def _apply(self, e: Expr, own: int, transverse: Sequence[Expr],
+               vertical: Expr) -> Expr:
+        """``D_own e - sum_k transverse[k] D_{3+k} e + vertical de/dlam``."""
         D = self.coords.total_derivative
-        result = D(e, 0)
-        for i, comp in enumerate(self.x_components()):
-            if i == 0:
-                continue
+        result = D(e, own)
+        for i, comp in enumerate(transverse, 2):
             if not comp.is_zero():
-                result = result + comp * D(e, i)
+                result = result - comp * D(e, i)
         dlam = e.partial(self._lam())
         if not dlam.is_zero():
-            result = result + self.m * dlam
+            result = result + vertical * dlam
         return result
 
+    def apply_x(self, e: Expr) -> Expr:
+        """Full action of X (total-derivative part plus vertical part)."""
+        return self._apply(e, 0, self._slots()[0], self.m)
+
     def apply_y(self, e: Expr) -> Expr:
-        D = self.coords.total_derivative
-        result = D(e, 1)
-        for i, comp in enumerate(self.y_components()):
-            if i == 1:
-                continue
-            if not comp.is_zero():
-                result = result + comp * D(e, i)
-        dlam = e.partial(self._lam())
-        if not dlam.is_zero():
-            result = result + self.n * dlam
-        return result
+        return self._apply(e, 1, self._slots()[1], self.n)
 
     # -- commutator residuals --------------------------------------------------
 
     def horizontal_residuals(self) -> Dict[str, Expr]:
         """Coefficients of the ``D_3`` (and ``D_4``) slots of ``[X, Y]``,
         keyed by the base-coordinate name of the slot."""
-        coords = self.coords
-        if coords.dim == 3:
-            return {coords.base[2]: self.apply_y(self.alpha) - self.apply_x(self.beta)}
-        return {
-            coords.base[2]: self.apply_y(self.alpha) - self.apply_x(self.gamma),
-            coords.base[3]: self.apply_y(self.beta) - self.apply_x(self.delta),
-        }
+        xs, ys = self._slots()
+        base = self.coords.base
+        return {base[2 + k]: self.apply_y(x) - self.apply_x(y)
+                for k, (x, y) in enumerate(zip(xs, ys))}
 
     def vertical_residual(self) -> Expr:
         """Coefficient of ``d/dlam`` in ``[X, Y]``."""
@@ -188,21 +192,18 @@ class LaxPair:
             h = self.horizontal_residuals()[self.coords.base[2]]
             dm = (self.alpha.partial(lam).partial(lam) / z) * h
             dn = (self.beta.partial(lam).partial(lam) / z) * h
-            return LaxPair(self.coords, self.alpha, self.beta,
-                           self.m + dm, self.n + dn)
-        z = self.z2()
-        self._require_nondegenerate(z, "z2", system)
-        hs = self.horizontal_residuals()
-        h3, h4 = hs[self.coords.base[2]], hs[self.coords.base[3]]
-        al = self.alpha.partial(lam)
-        bl = self.beta.partial(lam)
-        gl = self.gamma.partial(lam)
-        dl = self.delta.partial(lam)
-        dm = (-bl * h3 + al * h4) / z
-        dn = (-dl * h3 + gl * h4) / z
-        return LaxPair(self.coords, self.alpha, self.beta,
-                       self.m + dm, self.n + dn,
-                       gamma=self.gamma, delta=self.delta)
+        else:
+            z = self.z2()
+            self._require_nondegenerate(z, "z2", system)
+            hs = self.horizontal_residuals()
+            h3, h4 = hs[self.coords.base[2]], hs[self.coords.base[3]]
+            al = self.alpha.partial(lam)
+            bl = self.beta.partial(lam)
+            gl = self.gamma.partial(lam)
+            dl = self.delta.partial(lam)
+            dm = (-bl * h3 + al * h4) / z
+            dn = (-dl * h3 + gl * h4) / z
+        return replace(self, m=self.m + dm, n=self.n + dn)
 
     @staticmethod
     def _require_nondegenerate(z: Expr, name: str,
@@ -221,39 +222,26 @@ class LaxPair:
         if lam in h.vars():
             raise LambdaDependent(
                 "a spectral shift must not depend on the spectral parameter")
-        lam_expr = Expr.variable(lam)
-        back = lam_expr - h
+        back = Expr.variable(lam) - h
 
         def move(e: Expr) -> Expr:
             return e.subs_var(lam, back)
 
-        new_m = move(self.m + self.apply_x(h))
-        new_n = move(self.n + self.apply_y(h))
-        if self.coords.dim == 3:
-            return LaxPair(self.coords, move(self.alpha), move(self.beta),
-                           new_m, new_n)
-        return LaxPair(self.coords, move(self.alpha), move(self.beta),
-                       new_m, new_n,
-                       gamma=move(self.gamma), delta=move(self.delta))
+        frame = {name: move(c) for name, c in self.coefficients().items()
+                 if name not in ("m", "n")}
+        return replace(self, m=move(self.m + self.apply_x(h)),
+                       n=move(self.n + self.apply_y(h)), **frame)
 
     def reduced(self, system: SolvedSystem) -> "LaxPair":
         """The same pair with every coefficient in normal form."""
-        r = system.reduce
-        if self.coords.dim == 3:
-            return LaxPair(self.coords, r(self.alpha), r(self.beta),
-                           r(self.m), r(self.n))
-        return LaxPair(self.coords, r(self.alpha), r(self.beta),
-                       r(self.m), r(self.n),
-                       gamma=r(self.gamma), delta=r(self.delta))
+        return replace(self, **{name: system.reduce(c)
+                                for name, c in self.coefficients().items()})
 
     def equal_mod(self, other: "LaxPair",
                   system: Optional[SolvedSystem] = None) -> bool:
-        pairs = [(self.alpha, other.alpha), (self.beta, other.beta),
-                 (self.m, other.m), (self.n, other.n)]
-        if self.coords.dim == 4:
-            pairs += [(self.gamma, other.gamma), (self.delta, other.delta)]
-        for a, b in pairs:
-            d = a - b
+        theirs = other.coefficients()
+        for name, c in self.coefficients().items():
+            d = c - theirs[name]
             if system is not None:
                 d = system.reduce(d)
             if not d.is_zero():
@@ -271,10 +259,7 @@ class LaxReport:
     verdict: LaxVerdict
 
     def witness(self) -> Optional[Tuple[str, Expr]]:
-        for label in sorted(self.reduced):
-            if not self.reduced[label].is_zero():
-                return label, self.reduced[label]
-        return None
+        return first_nonzero(self.reduced)
 
 
 def verify_lax(system: SolvedSystem, pair: LaxPair,
@@ -322,28 +307,13 @@ def characteristic_check(pair: LaxPair, system: SolvedSystem,
 def normal_lift_4d(coords: Coordinates, alpha: Expr, beta: Expr,
                    gamma: Expr, delta: Expr,
                    system: Optional[SolvedSystem] = None) -> LaxPair:
-    """Complete a 4D frame to the unique normal pair on it: solve the two
-    horizontal residual equations for the vertical coefficients ``m, n``.
-    Requires the frame nondegeneracy ``z2 != 0``."""
+    """Complete a 4D frame to the unique normal pair on it: the
+    :meth:`LaxPair.normalize` of the pair with ``m = n = 0``.  Requires the
+    frame nondegeneracy ``z2 != 0``."""
     if coords.dim != 4:
         raise KernelError("normal_lift_4d needs 4 base coordinates")
-    lam = coords.spectral_var()
-    al, bl = alpha.partial(lam), beta.partial(lam)
-    gl, dl = gamma.partial(lam), delta.partial(lam)
-    z2 = al * dl - bl * gl
-    if z2.is_zero():
-        raise DegenerateCongruence("z2 vanishes identically")
-    if system is not None and system.reduce(z2).is_zero():
-        raise DegenerateCongruence("z2 vanishes modulo the system")
-    probe = LaxPair(coords, alpha, beta, ZERO, ZERO, gamma=gamma, delta=delta)
-    hs = probe.horizontal_residuals()
-    # with m = n = 0 the residuals are the pure-derivative parts:
-    #   h3 = Y(alpha) - X(gamma),  h4 = Y(beta) - X(delta)
-    r1 = hs[coords.base[3]]    # = Y(beta) - X(delta)
-    r2 = -hs[coords.base[2]]   # = X(gamma) - Y(alpha)
-    m = (al * r1 + bl * r2) / z2
-    n = (gl * r1 + dl * r2) / z2
-    return LaxPair(coords, alpha, beta, m, n, gamma=gamma, delta=delta)
+    return LaxPair(coords, alpha, beta, ZERO, ZERO,
+                   gamma=gamma, delta=delta).normalize(system)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +347,7 @@ def monge_invariant(coords: Coordinates, alpha: Expr, beta: Expr) -> Expr:
     return nine * a2 * a2 * a5 - f45 * a2 * a3 * a4 + f40 * a3 ** 3
 
 
-def _clear_lambda_denominators(coords: Coordinates,
-                               funcs: Sequence[Expr]) -> List[Expr]:
+def _clear_lambda_denominators(funcs: Sequence[Expr]) -> List[Expr]:
     """Multiply all functions by the product of their denominators (a
     nonzero common factor does not change linear dependence over the
     lambda-free field)."""
@@ -398,15 +367,9 @@ def conic_oracle(coords: Coordinates, alpha: Expr, beta: Expr) -> bool:
     (possibly degenerate) with coefficients independent of the spectral
     parameter?  Decided by a kernel computation for the lambda-coefficient
     matrix of ``{1, alpha, beta, alpha^2, alpha beta, beta^2}``."""
-    lam = coords.spectral_var()
     funcs = [ONE, alpha, beta, alpha * alpha, alpha * beta, beta * beta]
-    cleared = _clear_lambda_denominators(coords, funcs)
-    columns = [f.coeffs_in(lam) for f in cleared]
-    degree = max((max(c) for c in columns if c), default=0)
-    matrix = [[columns[j].get(k, ZERO) for j in range(6)]
-              for k in range(degree + 1)]
-    kernel = linalg.nullspace(matrix)
-    return len(kernel) > 0
+    rows = _lambda_coefficient_rows(coords, [funcs])
+    return len(linalg.nullspace(rows)) > 0
 
 
 def conic_oracle_sampling(coords: Coordinates, alpha: Expr, beta: Expr,
@@ -462,7 +425,7 @@ def _lambda_coefficient_rows(coords: Coordinates,
     lam = coords.spectral_var()
     rows: List[List[Expr]] = []
     for form in forms:
-        cleared = _clear_lambda_denominators(coords, form)
+        cleared = _clear_lambda_denominators(form)
         per_unknown = [f.coeffs_in(lam) for f in cleared]
         degree = max((max(c) for c in per_unknown if c), default=0)
         for k in range(degree + 1):
@@ -484,26 +447,13 @@ def recover_metric(pair: LaxPair,
     one-dimensional."""
     coords = pair.coords
     n = coords.dim
-    if n == 3:
-        theta = pair.null_covector()
-        unknown_index = [(i, j) for i in range(3) for j in range(i, 3)]
-        form = []
-        for (i, j) in unknown_index:
-            c = theta[i] * theta[j]
-            if i != j:
-                c = Expr.number(2) * c
-            form.append(c)
-        forms = [form]
-    else:
-        x, y = pair.x_components(), pair.y_components()
-        unknown_index = [(i, j) for i in range(4) for j in range(i, 4)]
-        forms = []
-        for (u, v) in ((x, x), (x, y), (y, y)):
-            form = []
-            for (i, j) in unknown_index:
-                c = u[i] * v[j] if i == j else u[i] * v[j] + u[j] * v[i]
-                form.append(c)
-            forms.append(form)
+    # the unknown tensor vanishes on each unordered pair of the vectors
+    vectors = (pair.annihilator_covectors() if n == 3
+               else [pair.x_components(), pair.y_components()])
+    unknown_index = [(i, j) for i in range(n) for j in range(i, n)]
+    forms = [[u[i] * v[j] if i == j else u[i] * v[j] + u[j] * v[i]
+              for (i, j) in unknown_index]
+             for a, u in enumerate(vectors) for v in vectors[a:]]
     rows = _lambda_coefficient_rows(coords, forms)
     if system is not None:
         rows = [[system.reduce(e) for e in row] for row in rows]

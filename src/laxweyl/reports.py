@@ -67,25 +67,13 @@ def metric_text(metric: Metric, limit: int = DEFAULT_LIMIT) -> str:
 
 
 def pair_payload(pair: LaxPair, limit: int = DEFAULT_LIMIT) -> Dict:
-    payload = {
-        "alpha": truncate(str(pair.alpha), limit),
-        "beta": truncate(str(pair.beta), limit),
-        "m": truncate(str(pair.m), limit),
-        "n": truncate(str(pair.n), limit),
-    }
-    if pair.coords.dim == 4:
-        payload["gamma"] = truncate(str(pair.gamma), limit)
-        payload["delta"] = truncate(str(pair.delta), limit)
-    return payload
+    return {name: truncate(str(c), limit)
+            for name, c in pair.coefficients().items()}
 
 
 def pair_text(pair: LaxPair, limit: int = DEFAULT_LIMIT) -> str:
-    order = (("alpha", pair.alpha), ("beta", pair.beta))
-    if pair.coords.dim == 4:
-        order += (("gamma", pair.gamma), ("delta", pair.delta))
-    order += (("m", pair.m), ("n", pair.n))
-    return "\n".join("  %-5s = %s" % (k, truncate(str(v), limit))
-                     for k, v in order)
+    return "\n".join("  %-5s = %s" % (name, truncate(str(c), limit))
+                     for name, c in pair.coefficients().items())
 
 
 def lax_payload(report: LaxReport, limit: int = DEFAULT_LIMIT,

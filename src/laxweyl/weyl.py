@@ -47,13 +47,21 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .conformal import Metric
 from .errors import KernelError, NoSolution
 from .expr import Expr, Var, ZERO, ONE, KIND_PARAM, expr_sqrt
 from .ideal import SolvedSystem
 from .jets import Coordinates
+
+
+def first_nonzero(entries: Mapping[str, Expr]) -> Optional[Tuple[str, Expr]]:
+    """The nonzero entry with the smallest label, if any."""
+    for label in sorted(entries):
+        if not entries[label].is_zero():
+            return label, entries[label]
+    return None
 
 
 class Classification(Enum):
@@ -81,10 +89,7 @@ class ResidualTensor:
 
     def witness(self) -> Optional[Tuple[str, Expr]]:
         """A nonvanishing reduced entry, if any (deterministic choice)."""
-        for label in sorted(self.reduced):
-            if not self.reduced[label].is_zero():
-                return label, self.reduced[label]
-        return None
+        return first_nonzero(self.reduced)
 
     def is_zero_mod_ideal(self) -> bool:
         return self.classify() in (Classification.IDENTICALLY_ZERO,
@@ -687,23 +692,22 @@ class WeylFormSolution:
     residual: ResidualTensor
 
 
-def solve_weyl_form(system: SolvedSystem, metric: Optional[Metric] = None,
-                    ansatz_order: Optional[int] = None) -> WeylFormSolution:
+def solve_weyl_form(system: SolvedSystem,
+                    metric: Optional[Metric] = None) -> WeylFormSolution:
     """Find a Weyl one-form making the conformal structure Einstein--Weyl.
 
     The components of ``omega`` are sought as affine combinations, with
     unknown rational coefficients, of the non-reducible jet variables of
-    order at most ``ansatz_order`` (default: one less than the system order,
-    at least 1).  The coefficient equations are solved exactly over the
-    rationals; :class:`NoSolution` is raised with diagnostics when no
-    rational solution exists in the ansatz.
+    order at most one less than the system order (at least 1).  The
+    coefficient equations are solved exactly over the rationals;
+    :class:`NoSolution` is raised with diagnostics when no rational
+    solution exists in the ansatz.
     """
     from .conformal import conformal_metric
     coords = system.coords
     if metric is None:
         metric = conformal_metric(system)
-    if ansatz_order is None:
-        ansatz_order = max(1, system.order - 1)
+    ansatz_order = max(1, system.order - 1)
     # candidate monomials: 1 and every irreducible jet up to the order bound
     monomials: List[Expr] = [ONE]
     for order in range(ansatz_order + 1):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from laxweyl import Coordinates, Expr, ZERO, corpus
+from laxweyl import Coordinates, Expr, ONE, ZERO, corpus
 
 
 @pytest.fixture(scope="session")
@@ -107,3 +107,33 @@ def random_jet_expression(coords: Coordinates, rng: random.Random, *,
     if rng.random() < 0.4:
         e = e / pool[rng.randrange(len(pool))] ** rng.randint(1, 2)
     return e
+
+
+def random_spectral_curve(coords: Coordinates, rng: random.Random) -> Expr:
+    """One coordinate of a spectral curve: a polynomial of degree <= 4 in
+    the spectral parameter, plus a simple pole at 0 a quarter of the time."""
+    lam = coords.var(coords.spectral)
+    degree = rng.randint(0, 4)
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+              for _ in range(degree + 1)]
+    e = ZERO
+    for k, co in enumerate(coeffs):
+        e = e + co * lam ** k
+    if rng.random() < 0.25:
+        e = e + Fraction(rng.randint(1, 4)) / lam
+    return e
+
+
+def random_frame_4d(coords: Coordinates, rng: random.Random) -> tuple:
+    """Coefficients ``(alpha, beta, gamma, delta)`` of a 4D frame, each
+    affine in the spectral parameter with monomial jet coefficients.  The
+    spectral Jacobian ``z2`` may vanish."""
+    lam = coords.var(coords.spectral)
+    atoms = [ONE, coords.var("u"), coords.jet("u", "x"), coords.jet("u", "yt"),
+             coords.var("z")]
+
+    def coefficient():
+        return (atoms[rng.randrange(len(atoms))]
+                * Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    return tuple(coefficient() + lam * coefficient() for _ in range(4))

@@ -20,7 +20,8 @@ from laxweyl import (Classification, LaxPair, LaxVerdict, Metric, ONE, ZERO,
                      signature_at, solve_weyl_form, verify_lax, weyl_lift_3d)
 from laxweyl.errors import PoleAtSample, SingularSample
 
-from conftest import atom_pool, random_jet_expression
+from conftest import (atom_pool, random_frame_4d, random_jet_expression,
+                      random_spectral_curve)
 
 
 @contextmanager
@@ -195,15 +196,7 @@ def test_09_monge_vs_conic_oracle(coords3):
         curves = [(lam * lam, lam), (ONE / lam, lam)]
         rng = random.Random(20260813)
         while len(curves) < 24:
-            degree = rng.randint(0, 4)
-            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                      for _ in range(degree + 1)]
-            alpha = ZERO
-            for k, co in enumerate(coeffs):
-                alpha = alpha + co * lam ** k
-            if rng.random() < 0.25:
-                alpha = alpha + Fraction(rng.randint(1, 4)) / lam
-            curves.append((alpha, lam))
+            curves.append((random_spectral_curve(c, rng), lam))
         assert len(curves) >= 20
 
         verdicts = []
@@ -247,22 +240,11 @@ def test_11_normal_lift_4d_seeded(coords4):
     """Ten seeded random four-dimensional congruences with invertible
     spectral Jacobian all lift to normal pairs.  Budget: 60 s."""
     c = coords4
-    lam = c.var("lam")
     with budget(60):
         rng = random.Random(11)
-        atoms = [ONE, c.var("u"), c.jet("u", "x"), c.jet("u", "yt"),
-                 c.var("z")]
-
-        def coefficient():
-            return (atoms[rng.randrange(len(atoms))]
-                    * Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-
         produced = 0
         while produced < 10:
-            alpha = coefficient() + lam * coefficient()
-            beta = coefficient() + lam * coefficient()
-            gamma = coefficient() + lam * coefficient()
-            delta = coefficient() + lam * coefficient()
+            alpha, beta, gamma, delta = random_frame_4d(c, rng)
             s = c.spectral_var()
             z2 = (alpha.partial(s) * delta.partial(s)
                   - beta.partial(s) * gamma.partial(s))

@@ -107,6 +107,91 @@ class TestLaxRecoverMetric:
         assert "conformal" in out or "-4*u" in out
 
 
+SH_ALPHA = "(lam^2 + 2*lam*u_xy + u_xx*u_yy)/(lam)"
+SH_M = ("(lam^2*u_xyy + lam*u_xx*u_yyy + lam*u_yy*u_xxy + 2*u_xx*u_yy*u_xyy"
+        " - 2*u_xy*u_yy*u_xxy + u_yy^2*u_xxx + lam*u_yyt + 2*u_yy*u_xyt"
+        " + u_yy*u_zxx)/(lam)")
+SH_N = ("(-lam*u_xxy - 2*u_xx*u_xyy + 2*u_xy*u_xxy - u_yy*u_xxx - 2*u_xyt"
+        " - u_zxx)/(lam)")
+MS_M = "-lam*u_t - u*v_tt - v_t*v_yt + v_y*v_tt - u_y - v_xt + v_yy"
+
+PINNED_TEXT = {
+    ("normalize", "manakov_santini"): "\n".join([
+        "normalized pair:",
+        "  alpha = lam^2 + lam*v_t - u + v_y",
+        "  beta  = lam + v_t",
+        "  m     = " + MS_M,
+        "  n     = -u_t",
+        "verdict: lax-pair"]),
+    ("normalize", "second_heavenly"): "\n".join([
+        "normalized pair:",
+        "  alpha = " + SH_ALPHA,
+        "  beta  = u_yy/(lam)",
+        "  gamma = -u_xx/(lam)",
+        "  delta = -1/(lam)",
+        "  m     = " + SH_M,
+        "  n     = " + SH_N,
+        "verdict: lax-pair"]),
+    ("recover-metric", "dkp"): "\n".join([
+        "covariant metric (coordinates x, y, t):",
+        "  x: [-4*u^2, 0, 2*u]",
+        "  y: [0, -u, 0]",
+        "  t: [2*u, 0, 0]",
+        "  det = 4*u^3",
+        "canonical metric: conformal to the recovered one"]),
+    ("recover-metric", "second_heavenly"): "\n".join([
+        "covariant metric (coordinates z, x, y, t):",
+        "  z: [u_yy/(u_xx), -1/2/(u_xx), 0, -u_xy/(u_xx)]",
+        "  x: [-1/2/(u_xx), 0, 0, 0]",
+        "  y: [0, 0, 0, -1/2/(u_xx)]",
+        "  t: [-u_xy/(u_xx), 0, -1/2/(u_xx), 1]",
+        "  det = 1/16/(u_xx^4)",
+        "canonical metric: conformal to the recovered one"]),
+}
+
+PINNED_JSON = {
+    ("normalize", "manakov_santini"): {
+        "exit_code": 0, "normal": True, "verdict": "lax-pair",
+        "pair": {"alpha": "lam^2 + lam*v_t - u + v_y", "beta": "lam + v_t",
+                 "m": MS_M, "n": "-u_t"}},
+    ("normalize", "second_heavenly"): {
+        "exit_code": 0, "normal": True, "verdict": "lax-pair",
+        "pair": {"alpha": SH_ALPHA, "beta": "u_yy/(lam)",
+                 "gamma": "-u_xx/(lam)", "delta": "-1/(lam)",
+                 "m": SH_M, "n": SH_N}},
+    ("recover-metric", "dkp"): {
+        "coordinates": ["x", "y", "t"], "determinant": "4*u^3",
+        "exit_code": 0, "matches_canonical": True, "recovered": True,
+        "rows": [["-4*u^2", "0", "2*u"], ["0", "-u", "0"],
+                 ["2*u", "0", "0"]]},
+    ("recover-metric", "second_heavenly"): {
+        "coordinates": ["z", "x", "y", "t"], "determinant": "1/16/(u_xx^4)",
+        "exit_code": 0, "matches_canonical": True, "recovered": True,
+        "rows": [["u_yy/(u_xx)", "-1/2/(u_xx)", "0", "-u_xy/(u_xx)"],
+                 ["-1/2/(u_xx)", "0", "0", "0"],
+                 ["0", "0", "0", "-1/2/(u_xx)"],
+                 ["-u_xy/(u_xx)", "0", "-1/2/(u_xx)", "1"]]},
+}
+
+
+class TestPinnedPairOutput:
+    """Exact renderings of 3D and 4D pairs and recovered metrics."""
+
+    @pytest.mark.parametrize("command,entry", sorted(PINNED_TEXT))
+    def test_text(self, capsys, dspec_path, command, entry):
+        code, out, err = run(capsys, "lax", command, dspec_path[entry])
+        assert code == EXIT_OK
+        assert out == PINNED_TEXT[command, entry] + "\n"
+
+    @pytest.mark.parametrize("command,entry", sorted(PINNED_JSON))
+    def test_json(self, capsys, dspec_path, command, entry):
+        code, out, err = run(capsys, "lax", command, "--format", "json",
+                             dspec_path[entry])
+        assert code == EXIT_OK
+        assert out == json.dumps(PINNED_JSON[command, entry], indent=2,
+                                 sort_keys=True) + "\n"
+
+
 class TestEwCheck:
     def test_recorded_covector(self, capsys, dspec_path):
         code, out, err = run(capsys, "ew", "check", dspec_path["dkp"])

@@ -10,12 +10,68 @@ import pytest
 
 from laxweyl import (Coordinates, Expr, LaxPair, LaxVerdict, ONE, ZERO,
                      characteristic_check, conformal_equal, conformal_metric,
-                     congruence_from_vectors, conic_oracle,
+                     congruence_from_vectors, conic_oracle, linalg,
                      conic_oracle_sampling, monge_invariant, normal_lift_4d,
                      parse_document, pullback, recover_metric, verify_lax,
                      weyl_lift_3d)
 from laxweyl.errors import (DegenerateCongruence, DegenerateFrame,
                             LambdaDependent)
+
+from conftest import random_frame_4d, random_spectral_curve
+
+
+def lift_by_formula(coords, alpha, beta, gamma, delta, system=None):
+    """Reference for ``normal_lift_4d``: the vertical coefficients ``(m, n)``
+    solved from the two horizontal equations of ``[X, Y]``, with X and Y
+    written out from the positional frame of the module docstring."""
+    D = coords.total_derivative
+
+    def x0(e):
+        return D(e, 0) - alpha * D(e, 2) - beta * D(e, 3)
+
+    def y0(e):
+        return D(e, 1) - gamma * D(e, 2) - delta * D(e, 3)
+
+    lam = coords.spectral_var()
+    al, bl, gl, dl = (e.partial(lam) for e in (alpha, beta, gamma, delta))
+    z2 = al * dl - bl * gl
+    if z2.is_zero():
+        raise DegenerateCongruence("z2 vanishes identically")
+    if system is not None and system.reduce(z2).is_zero():
+        raise DegenerateCongruence("z2 vanishes modulo the system")
+    r1 = y0(beta) - x0(delta)
+    r2 = x0(gamma) - y0(alpha)
+    return (al * r1 + bl * r2) / z2, (gl * r1 + dl * r2) / z2
+
+
+def conic_by_full_matrix(coords, alpha, beta) -> bool:
+    """Reference for ``conic_oracle``: the lambda-coefficient matrix of
+    ``{1, alpha, beta, alpha^2, alpha beta, beta^2}``, each function times
+    the others' denominators, with one row per power up to the top degree
+    (zero rows included)."""
+    lam = coords.spectral_var()
+    funcs = [ONE, alpha, beta, alpha * alpha, alpha * beta, beta * beta]
+    cleared = []
+    for i, f in enumerate(funcs):
+        g = f.numerator()
+        for j, other in enumerate(funcs):
+            if j != i:
+                g = g * other.denominator()
+        cleared.append(g)
+    columns = [g.coeffs_in(lam) for g in cleared]
+    degree = max(max(col) for col in columns if col)
+    matrix = [[col.get(k, ZERO) for col in columns]
+              for k in range(degree + 1)]
+    return len(linalg.nullspace(matrix)) > 0
+
+
+def outcome(thunk):
+    """The strings of a result sequence, or the error a degenerate input
+    raises."""
+    try:
+        return [str(e) for e in thunk()]
+    except DegenerateCongruence as exc:
+        return "DegenerateCongruence: %s" % exc
 
 
 class TestVerdicts:
@@ -157,6 +213,34 @@ class TestNormalLift4D:
             assert lifted.is_normal()
             produced += 1
 
+    def test_matches_two_equation_formula(self, second_heavenly):
+        """On seeded frames, with and without the system, the lift keeps the
+        frame and prints the reference ``m`` and ``n``, or raises the same
+        error."""
+        c = second_heavenly.coords
+        lam = c.var("lam")
+        rng = random.Random(40)
+        frames = [random_frame_4d(c, rng) for _ in range(40)]
+        # z2 is the second heavenly equation itself: zero only on-shell
+        equation = (c.jet("u", "zx") + c.jet("u", "xx") * c.jet("u", "yy")
+                    - c.jet("u", "xy") ** 2 + c.jet("u", "yt"))
+        frames += [(lam * equation, ZERO, ZERO, lam)] * 2
+        seen = set()
+        for k, frame in enumerate(frames):
+            system = second_heavenly.system if k % 2 else None
+
+            def lifted():
+                pair = normal_lift_4d(c, *frame, system=system)
+                assert (pair.alpha, pair.beta, pair.gamma, pair.delta) == frame
+                return pair.m, pair.n
+
+            expected = outcome(lambda: lift_by_formula(c, *frame, system))
+            assert outcome(lifted) == expected
+            seen.add(expected if isinstance(expected, str) else "lifted")
+        assert seen == {"lifted",
+                        "DegenerateCongruence: z2 vanishes identically",
+                        "DegenerateCongruence: z2 vanishes modulo the system"}
+
     def test_degenerate_jacobian_rejected(self, second_heavenly):
         c = second_heavenly.coords
         lam = c.var("lam")
@@ -244,6 +328,22 @@ class TestConicOracle:
     def test_jet_dependent_pencils(self, dkp, manakov_santini):
         for doc in (dkp, manakov_santini):
             assert conic_oracle(doc.coords, doc.pair.alpha, doc.pair.beta)
+
+    def test_matches_full_lambda_matrix(self, coords3, dkp, manakov_santini):
+        c = coords3
+        lam = c.var("lam")
+        rng = random.Random(20260813)
+        curves = [(doc.pair.alpha, doc.pair.beta)
+                  for doc in (dkp, manakov_santini)]
+        for _ in range(24):
+            alpha = random_spectral_curve(c, rng)
+            curves += [(alpha, lam), (alpha, random_spectral_curve(c, rng))]
+        verdicts = set()
+        for alpha, beta in curves:
+            verdict = conic_oracle(c, alpha, beta)
+            assert verdict == conic_by_full_matrix(c, alpha, beta), str(alpha)
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
 
 
 class TestRecoverMetric:

@@ -38,3 +38,27 @@ def test_no_module_but_expr_imports_expr_privates():
     offenders = {m.name: private_expr_imports(m.read_text())
                  for m in modules if m.name != "expr.py"}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def frame_slot_reads(source: str) -> list:
+    """Attributes ``gamma`` and ``delta`` that ``source`` reads."""
+    return [node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("gamma", "delta")
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_guard_sees_slot_reads():
+    assert frame_slot_reads(
+        "x = pair.gamma\nf(p.delta)\nLaxPair(c, gamma=g)\ngamma = 1") == [
+            "gamma", "delta"]
+
+
+def test_only_lax_reads_4d_frame_slots():
+    """Which coefficient fills which slot of X and Y is known to
+    ``lax.LaxPair`` alone; other modules iterate ``coefficients()``."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert any(m.name == "reports.py" for m in modules)
+    offenders = {m.name: frame_slot_reads(m.read_text())
+                 for m in modules if m.name != "lax.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
