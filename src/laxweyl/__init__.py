@@ -27,12 +27,10 @@ from .errors import (
     KernelError,
     DivisionByZero,
     NotPolynomialIn,
-    OrderExceeded,
     RankingViolation,
     DuplicatePrincipal,
     UnderdeterminedSystem,
     IdealDenominator,
-    NotInIdeal,
     OrderBudgetExceeded,
     NotAQuadric,
     DegenerateQuadric,
@@ -40,7 +38,6 @@ from .errors import (
     PoleAtSample,
     DegenerateCongruence,
     DegenerateFrame,
-    NotNullCongruence,
     DegenerateLinearSystem,
     LambdaDependent,
     NoSolution,
@@ -102,12 +99,10 @@ __all__ = [
     "KernelError",
     "DivisionByZero",
     "NotPolynomialIn",
-    "OrderExceeded",
     "RankingViolation",
     "DuplicatePrincipal",
     "UnderdeterminedSystem",
     "IdealDenominator",
-    "NotInIdeal",
     "OrderBudgetExceeded",
     "NotAQuadric",
     "DegenerateQuadric",
@@ -115,7 +110,6 @@ __all__ = [
     "PoleAtSample",
     "DegenerateCongruence",
     "DegenerateFrame",
-    "NotNullCongruence",
     "DegenerateLinearSystem",
     "LambdaDependent",
     "NoSolution",

@@ -23,6 +23,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -35,6 +36,7 @@ from .dsl import Document, parse_document, parse_expression
 from .errors import (DslError, LaxweylError, NoSolution, NonUnique,
                      NotAQuadric, DegenerateQuadric, SingularSample,
                      PoleAtSample)
+from .ideal import SolvedSystem
 from .lax import LaxVerdict, characteristic_check, recover_metric, verify_lax
 from .weyl import ew_residual, sd_residual, solve_weyl_form
 
@@ -45,12 +47,16 @@ EXIT_ERROR = 2
 _Outcome = Tuple[int, Dict, str]   # exit code, json payload, text rendering
 
 
-def _read_document(path: str) -> Document:
-    if path == "-":
+def _read_document(args) -> Document:
+    """Parse the command's document; its system reduces under the
+    ``--max-order`` budget."""
+    if args.file == "-":
         text = sys.stdin.read()
     else:
-        text = Path(path).read_text(encoding="utf-8")
-    return parse_document(text)
+        text = Path(args.file).read_text(encoding="utf-8")
+    doc = parse_document(text)
+    return replace(doc, system=SolvedSystem(doc.coords, doc.system.equations,
+                                            max_order=args.max_order))
 
 
 def _require_pair(doc: Document) -> None:
@@ -72,7 +78,7 @@ def _verdict_exit(verdict: LaxVerdict) -> int:
 
 
 def _cmd_symbol(args) -> _Outcome:
-    doc = _read_document(args.file)
+    doc = _read_document(args)
     poly = characteristic_polynomial(doc.system)
     payload: Dict = {
         "characteristic_polynomial": reports.truncate(str(poly)),
@@ -86,7 +92,7 @@ def _cmd_symbol(args) -> _Outcome:
         payload["note"] = str(exc)
         lines.append("no null quadric: %s" % exc)
     else:
-        payload["quadric"] = reports.matrix_rows(quadric.matrix, reports.DEFAULT_LIMIT)
+        payload["quadric"] = reports.matrix_rows(quadric.matrix)
         lines.append("null quadric (covector coefficients):")
         for name, row in zip(doc.coords.base, quadric.matrix):
             lines.append("  %s: [%s]" % (name, ", ".join(
@@ -113,7 +119,7 @@ def _sample_signature(metric, system, seed: int) -> Tuple[Dict[str, str], Tuple[
 
 
 def _cmd_metric(args) -> _Outcome:
-    doc = _read_document(args.file)
+    doc = _read_document(args)
     canonical = conformal_metric(doc.system)
     payload = reports.metric_payload(canonical)
     lines = [reports.metric_text(canonical)]
@@ -134,24 +140,23 @@ def _cmd_metric(args) -> _Outcome:
 
 
 def _cmd_lax_verify(args) -> _Outcome:
-    doc = _read_document(args.file)
+    doc = _read_document(args)
     _require_pair(doc)
-    report = verify_lax(doc.system, doc.pair, max_order=args.max_order)
-    characteristic = characteristic_check(doc.pair, doc.system,
-                                          max_order=args.max_order)
+    report = verify_lax(doc.system, doc.pair)
+    characteristic = characteristic_check(doc.pair, doc.system)
     return (_verdict_exit(report.verdict),
             reports.lax_payload(report, characteristic=characteristic),
             reports.lax_text(report, characteristic=characteristic))
 
 
 def _cmd_lax_normalize(args) -> _Outcome:
-    doc = _read_document(args.file)
+    doc = _read_document(args)
     _require_pair(doc)
     normalized = doc.pair.normalize(doc.system)
     if args.shift:
         shift = parse_expression(args.shift, doc.coords)
         normalized = normalized.shift_spectral(shift)
-    report = verify_lax(doc.system, normalized, max_order=args.max_order)
+    report = verify_lax(doc.system, normalized)
     payload = {"pair": reports.pair_payload(normalized),
                "verdict": report.verdict.value,
                "normal": normalized.is_normal()}
@@ -161,7 +166,7 @@ def _cmd_lax_normalize(args) -> _Outcome:
 
 
 def _cmd_lax_recover_metric(args) -> _Outcome:
-    doc = _read_document(args.file)
+    doc = _read_document(args)
     _require_pair(doc)
     try:
         metric = recover_metric(doc.pair, system=doc.system)
@@ -183,7 +188,7 @@ def _cmd_lax_recover_metric(args) -> _Outcome:
 
 
 def _cmd_ew_check(args) -> _Outcome:
-    doc = _read_document(args.file)
+    doc = _read_document(args)
     if doc.coords.dim != 3:
         raise LaxweylError("the Einstein-Weyl check needs three base "
                            "coordinates")
@@ -214,7 +219,7 @@ def _cmd_ew_check(args) -> _Outcome:
 
 
 def _cmd_sd_check(args) -> _Outcome:
-    doc = _read_document(args.file)
+    doc = _read_document(args)
     if doc.coords.dim != 4:
         raise LaxweylError("the self-duality check needs four base "
                            "coordinates")
@@ -258,11 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output rendering (default: text)")
-    common.add_argument("--max-order", type=int, default=None, metavar="N",
-                        help="reduction budget: refuse to prolong equations "
-                             "past jet order N")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for randomized sampling (default: 0)")
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument("--max-order", type=int, default=None, metavar="N",
+                          help="reduction budget: refuse to prolong equations "
+                               "past jet order N")
 
     parser = argparse.ArgumentParser(
         prog="laxweyl",
@@ -270,28 +274,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Einstein-Weyl / self-dual conformal structures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("symbol", parents=[common],
+    p = sub.add_parser("symbol", parents=[budgeted],
                        help="characteristic polynomial and null quadric")
     p.add_argument("file", help=".dspec document ('-' for stdin)")
     p.set_defaults(handler=_cmd_symbol)
 
-    p = sub.add_parser("metric", parents=[common],
+    p = sub.add_parser("metric", parents=[budgeted],
                        help="canonical conformal metric")
     p.add_argument("file", help=".dspec document ('-' for stdin)")
     p.add_argument("--sample", action="store_true",
                    help="also print the signature at a random rational "
                         "sample point")
+    p.add_argument("--seed", type=int, default=0, metavar="N",
+                   help="seed for --sample (default: 0)")
     p.set_defaults(handler=_cmd_metric)
 
     lax = sub.add_parser("lax", help="spectral-pair commands")
     lax_sub = lax.add_subparsers(dest="subcommand", required=True)
 
-    p = lax_sub.add_parser("verify", parents=[common],
+    p = lax_sub.add_parser("verify", parents=[budgeted],
                            help="Frobenius test of the recorded pair")
     p.add_argument("file", help=".dspec document ('-' for stdin)")
     p.set_defaults(handler=_cmd_lax_verify)
 
-    p = lax_sub.add_parser("normalize", parents=[common],
+    p = lax_sub.add_parser("normalize", parents=[budgeted],
                            help="normalize the recorded pair, optionally "
                                 "shifting the spectral parameter")
     p.add_argument("file", help=".dspec document ('-' for stdin)")
@@ -299,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="shift the spectral parameter by EXPR afterwards")
     p.set_defaults(handler=_cmd_lax_normalize)
 
-    p = lax_sub.add_parser("recover-metric", parents=[common],
+    p = lax_sub.add_parser("recover-metric", parents=[budgeted],
                            help="recover the conformal metric from the "
                                 "pair alone")
     p.add_argument("file", help=".dspec document ('-' for stdin)")
@@ -307,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ew = sub.add_parser("ew", help="Einstein-Weyl commands")
     ew_sub = ew.add_subparsers(dest="subcommand", required=True)
-    p = ew_sub.add_parser("check", parents=[common],
+    p = ew_sub.add_parser("check", parents=[budgeted],
                           help="Einstein-Weyl residual of the canonical "
                                "structure")
     p.add_argument("file", help=".dspec document ('-' for stdin)")
@@ -318,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sd = sub.add_parser("sd", help="self-duality commands")
     sd_sub = sd.add_subparsers(dest="subcommand", required=True)
-    p = sd_sub.add_parser("check", parents=[common],
+    p = sd_sub.add_parser("check", parents=[budgeted],
                           help="self-duality residual of the canonical "
                                "structure")
     p.add_argument("file", help=".dspec document ('-' for stdin)")
@@ -331,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = corpus_sub.add_parser("list", parents=[common],
                               help="list the bundled entries")
     p.set_defaults(handler=_cmd_corpus_list)
-    p = corpus_sub.add_parser("verify", parents=[common],
+    p = corpus_sub.add_parser("verify", parents=[budgeted],
                               help="replay the recorded expectations")
     p.add_argument("name", nargs="?", default=None,
                    help="entry name (see 'laxweyl corpus list')")

@@ -138,9 +138,6 @@ class Metric:
     matrix: List[List[Expr]]
     _inverse: Optional[List[List[Expr]]] = field(default=None, repr=False)
 
-    def entry(self, i: int, j: int) -> Expr:
-        return self.matrix[i][j]
-
     def determinant(self) -> Expr:
         return linalg.determinant(self.matrix)
 

@@ -151,6 +151,14 @@ class _ExprParser:
 
     # -- grammar --------------------------------------------------------------
 
+    def expression_list(self) -> List[Expr]:
+        """One or more comma-separated expressions."""
+        items = [self.expression()]
+        while self.at_op(","):
+            self.take()
+            items.append(self.expression())
+        return items
+
     def expression(self) -> Expr:
         value = self.term()
         while self.at_op("+", "-"):
@@ -279,7 +287,6 @@ _SECTION_RE = re.compile(r"^\[([a-z][a-z-]*)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_-]*)\s*=\s*")
 _SOLVE_RE = re.compile(r"^solve\s+([A-Za-z][A-Za-z0-9_]*)\s*=\s*")
 
-_KNOWN_SECTIONS = {"coords", "equation", "pair", "metric", "weyl-form", "expect"}
 _SECTION_KEYS = {
     "coords": {"base", "unknowns", "spectral"},
     "equation": {"solve", "name"},
@@ -287,6 +294,8 @@ _SECTION_KEYS = {
     "metric": {"rows"},
     "weyl-form": {"omega"},
 }
+# [expect] takes any key
+_KNOWN_SECTIONS = set(_SECTION_KEYS) | {"expect"}
 
 
 def _split_sections(text: str) -> Tuple[Optional[str], List[_Section]]:
@@ -429,12 +438,8 @@ def _parse_matrix(entry: _Entry, coords: Coordinates) -> List[List[Expr]]:
     rows: List[List[Expr]] = []
     while True:
         parser.expect_op("[")
-        row = [parser.expression()]
-        while parser.at_op(","):
-            parser.take()
-            row.append(parser.expression())
+        rows.append(parser.expression_list())
         parser.expect_op("]")
-        rows.append(row)
         if parser.at_op(","):
             parser.take()
             continue
@@ -465,10 +470,7 @@ def _parse_omega(section: _Section, coords: Coordinates) -> List[Expr]:
     entry = _require(section, "omega")
     tokens = _tokenize(entry.value, entry.line, entry.column)
     parser = _ExprParser(tokens, coords, entry.line)
-    parts = [parser.expression()]
-    while parser.at_op(","):
-        parser.take()
-        parts.append(parser.expression())
+    parts = parser.expression_list()
     tok = parser.peek()
     if tok.kind != "end":
         raise parser.fail("unexpected %r after covector" % tok.text, tok)

@@ -23,10 +23,6 @@ class NotPolynomialIn(KernelError):
     """An operation required an expression polynomial in some variable."""
 
 
-class OrderExceeded(LaxweylError):
-    """An expression had higher jet order than the requested symbol degree."""
-
-
 class RankingViolation(LaxweylError):
     """A solved equation lists a right-hand-side jet not below its principal."""
 
@@ -43,12 +39,8 @@ class IdealDenominator(LaxweylError):
     """A denominator reduced to zero modulo the differential ideal."""
 
 
-class NotInIdeal(LaxweylError):
-    """Cofactor extraction was asked for an expression outside the ideal."""
-
-
 class OrderBudgetExceeded(LaxweylError):
-    """A cofactor certificate needed derivatives beyond the allowed order."""
+    """A reduction needed a prolongation past the system's jet-order budget."""
 
 
 class NotAQuadric(LaxweylError):
@@ -73,10 +65,6 @@ class DegenerateCongruence(LaxweylError):
 
 class DegenerateFrame(LaxweylError):
     """Plane generators cannot be normalized to the standard frame."""
-
-
-class NotNullCongruence(LaxweylError):
-    """A congruence is not null for the given conformal structure."""
 
 
 class DegenerateLinearSystem(LaxweylError):

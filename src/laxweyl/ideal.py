@@ -17,6 +17,12 @@ Two reduction entry points:
       e  =  normal_form  +  sum  cofactor * D^tau(residual_of_equation)
 
   verifiable by direct expansion.
+
+The reduction budget ``max_order`` is fixed when the system is built; a
+prolongation past it raises :class:`OrderBudgetExceeded`.  The budget and the
+memo of prolonged normal forms share a lifetime: every memo entry was made
+under the one budget, so a memo hit needs no budget test, and whether a call
+raises never depends on which calls came before.
 """
 
 from __future__ import annotations
@@ -66,9 +72,11 @@ class SolvedEquation:
 class SolvedSystem:
     """A triangular solved PDE system together with its reduction machinery."""
 
-    def __init__(self, coords: Coordinates, equations: Sequence[SolvedEquation]):
+    def __init__(self, coords: Coordinates, equations: Sequence[SolvedEquation],
+                 max_order: Optional[int] = None):
         self.coords = coords
         self.equations = tuple(equations)
+        self._max_order = max_order
         self._principal_of: Dict[str, int] = {}
         self._validate()
         # fast normal-form table: (eq_index, tau) -> Expr
@@ -120,6 +128,18 @@ class SolvedSystem:
                            eq.principal_var(coords).name))
 
     @property
+    def max_order(self) -> Optional[int]:
+        """The reduction budget: the highest jet order a prolongation may
+        reach (``None`` for no budget)."""
+        return self._max_order
+
+    def _check_budget(self, eq_index: int, tau: MultiIndex, what: str) -> None:
+        order = sum(self.equations[eq_index].alpha) + sum(tau)
+        if self._max_order is not None and order > self._max_order:
+            raise OrderBudgetExceeded("%s needs jet order %d, budget is %d"
+                                      % (what, order, self._max_order))
+
+    @property
     def order(self) -> int:
         """Order of the system: the highest principal-derivative order."""
         return max(sum(eq.alpha) for eq in self.equations)
@@ -161,8 +181,7 @@ class SolvedSystem:
 
     # -- fast reduction ------------------------------------------------------
 
-    def prolonged_nf(self, eq_index: int, tau: MultiIndex,
-                     max_order: Optional[int] = None) -> Expr:
+    def prolonged_nf(self, eq_index: int, tau: MultiIndex) -> Expr:
         """Normal form of the prolonged right-hand side ``D^tau rhs``, i.e.
         the canonical replacement for the jet ``principal + tau``."""
         tau = tuple(tau)
@@ -170,23 +189,18 @@ class SolvedSystem:
         cached = self._nf.get(key)
         if cached is not None:
             return cached
-        eq = self.equations[eq_index]
-        if max_order is not None and sum(eq.alpha) + sum(tau) > max_order:
-            raise OrderBudgetExceeded(
-                "reduction needs jet order %d, budget is %d"
-                % (sum(eq.alpha) + sum(tau), max_order))
+        self._check_budget(eq_index, tau, "reduction")
         if sum(tau) == 0:
-            value = self.reduce(eq.rhs, max_order=max_order)
+            value = self.reduce(self.equations[eq_index].rhs)
         else:
             i = next(k for k, t in enumerate(tau) if t > 0)
             lower = tuple(t - (1 if k == i else 0) for k, t in enumerate(tau))
-            prev = self.prolonged_nf(eq_index, lower, max_order=max_order)
-            value = self.reduce(self.coords.total_derivative(prev, i),
-                                max_order=max_order)
+            prev = self.prolonged_nf(eq_index, lower)
+            value = self.reduce(self.coords.total_derivative(prev, i))
         self._nf[key] = value
         return value
 
-    def reduce(self, e: Expr, max_order: Optional[int] = None) -> Expr:
+    def reduce(self, e: Expr) -> Expr:
         """Normal form of ``e`` modulo the differential ideal.  Raises
         :class:`IdealDenominator` when a denominator lies in the ideal."""
         while True:
@@ -194,7 +208,7 @@ class SolvedSystem:
             if hit is None:
                 return e
             v, eq_index, tau = hit
-            replacement = self.prolonged_nf(eq_index, tau, max_order=max_order)
+            replacement = self.prolonged_nf(eq_index, tau)
             try:
                 e = e.subs_var(v, replacement)
             except DivisionByZero:
@@ -202,13 +216,12 @@ class SolvedSystem:
                     "denominator reduces to zero modulo the system "
                     "(while eliminating %s)" % v.name) from None
 
-    def is_in_ideal(self, e: Expr, max_order: Optional[int] = None) -> bool:
-        return self.reduce(e, max_order=max_order).is_zero()
+    def is_in_ideal(self, e: Expr) -> bool:
+        return self.reduce(e).is_zero()
 
     # -- instrumented reduction (certificates) --------------------------------
 
-    def _nf_with_cert(self, eq_index: int, tau: MultiIndex,
-                      max_order: Optional[int]) -> tuple:
+    def _nf_with_cert(self, eq_index: int, tau: MultiIndex) -> tuple:
         """Memoized pair ``(nf, cert)`` such that
 
             jet(principal + tau) = nf + D^tau(residual) + sum cert * D^sigma(residual_b)
@@ -220,20 +233,16 @@ class SolvedSystem:
         cached = self._nf_cert.get(key)
         if cached is not None:
             return cached
-        eq = self.equations[eq_index]
-        if max_order is not None and sum(eq.alpha) + sum(tau) > max_order:
-            raise OrderBudgetExceeded(
-                "certificate needs jet order %d, budget is %d"
-                % (sum(eq.alpha) + sum(tau), max_order))
+        self._check_budget(eq_index, tau, "certificate")
         if sum(tau) == 0:
-            nf, cert = self.cofactor_extract(eq.rhs, max_order=max_order)
+            nf, cert = self.cofactor_extract(self.equations[eq_index].rhs)
         else:
             i = next(k for k, t in enumerate(tau) if t > 0)
             lower = tuple(t - (1 if k == i else 0) for k, t in enumerate(tau))
-            prev_nf, prev_cert = self._nf_with_cert(eq_index, lower, max_order)
+            prev_nf, prev_cert = self._nf_with_cert(eq_index, lower)
             # d/dx_i of:  jet(P+lower) = prev_nf + D^lower(res) + sum c*D^sigma(res_b)
             nf, cert = self.cofactor_extract(
-                self.coords.total_derivative(prev_nf, i), max_order=max_order)
+                self.coords.total_derivative(prev_nf, i))
             for (b, sigma), c in prev_cert.items():
                 dc = self.coords.total_derivative(c, i)
                 if not dc.is_zero():
@@ -244,7 +253,7 @@ class SolvedSystem:
         self._nf_cert[key] = (nf, cert)
         return nf, cert
 
-    def cofactor_extract(self, e: Expr, max_order: Optional[int] = None) -> tuple:
+    def cofactor_extract(self, e: Expr) -> tuple:
         """Reduce ``e`` while tracking exact cofactors.
 
         Returns ``(normal_form, certificate)`` where ``certificate`` maps
@@ -260,7 +269,7 @@ class SolvedSystem:
             if hit is None:
                 return e, cert
             v, eq_index, tau = hit
-            nf_v, cert_v = self._nf_with_cert(eq_index, tau, max_order)
+            nf_v, cert_v = self._nf_with_cert(eq_index, tau)
             v_expr = Expr.variable(v)
             try:
                 reduced = e.subs_var(v, nf_v)

@@ -262,14 +262,13 @@ class LaxReport:
         return first_nonzero(self.reduced)
 
 
-def verify_lax(system: SolvedSystem, pair: LaxPair,
-               max_order: Optional[int] = None) -> LaxReport:
+def verify_lax(system: SolvedSystem, pair: LaxPair) -> LaxReport:
     """Classify a candidate pair: a genuine Lax pair encodes the system (all
     commutator residuals reduce to zero but at least one is nonzero
     off-shell), a trivial pair commutes identically, anything else is not
     integrable by this pair."""
     raw = pair.residuals()
-    reduced = {k: system.reduce(v, max_order=max_order) for k, v in raw.items()}
+    reduced = {k: system.reduce(v) for k, v in raw.items()}
     if all(v.is_zero() for v in raw.values()):
         verdict = LaxVerdict.TRIVIAL
     elif all(v.is_zero() for v in reduced.values()):
@@ -279,8 +278,7 @@ def verify_lax(system: SolvedSystem, pair: LaxPair,
     return LaxReport(pair, raw, reduced, verdict)
 
 
-def characteristic_check(pair: LaxPair, system: SolvedSystem,
-                         max_order: Optional[int] = None) -> bool:
+def characteristic_check(pair: LaxPair, system: SolvedSystem) -> bool:
     """Whether the pair's 2-planes are characteristic for the system: every
     covector annihilating the span of X and Y must be null for the
     characteristic quadric modulo the differential ideal (for all lam)."""
@@ -294,7 +292,7 @@ def characteristic_check(pair: LaxPair, system: SolvedSystem,
             for i in range(n):
                 for j in range(n):
                     value = value + quadric.matrix[i][j] * first[i] * second[j]
-            if not system.reduce(value, max_order=max_order).is_zero():
+            if not system.reduce(value).is_zero():
                 return False
     return True
 
@@ -372,10 +370,13 @@ def conic_oracle(coords: Coordinates, alpha: Expr, beta: Expr) -> bool:
     return len(linalg.nullspace(rows)) > 0
 
 
+_JET_TRIALS = 3        # random jet points per sampling check
+_LAMBDA_SAMPLES = 9    # spectral samples per point; a conic has 6 coefficients
+_MAX_RESAMPLES = 64    # poles tolerated per point before giving up
+
+
 def conic_oracle_sampling(coords: Coordinates, alpha: Expr, beta: Expr,
-                          seed: int = 0, jet_trials: int = 3,
-                          lambda_samples: int = 9,
-                          max_resamples: int = 64) -> bool:
+                          seed: int = 0) -> bool:
     """Numeric cross-check of :func:`conic_oracle`: fix random rational
     values for every non-spectral variable, sample the curve at rational
     spectral values, and test whether the sampled points satisfy a common
@@ -383,13 +384,13 @@ def conic_oracle_sampling(coords: Coordinates, alpha: Expr, beta: Expr,
     lam = coords.spectral_var()
     rng = random.Random(seed)
     jet_vars = sorted(v for v in (alpha.vars() | beta.vars()) if v is not lam)
-    for _ in range(jet_trials):
+    for _ in range(_JET_TRIALS):
         point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                  for v in jet_vars}
         rows = []
         used = set()
         resamples = 0
-        while len(rows) < lambda_samples:
+        while len(rows) < _LAMBDA_SAMPLES:
             lam_val = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
             if lam_val in used:
                 continue
@@ -401,10 +402,10 @@ def conic_oracle_sampling(coords: Coordinates, alpha: Expr, beta: Expr,
                 b = beta.eval_rational(full)
             except ZeroDivisionError:
                 resamples += 1
-                if resamples > max_resamples:
+                if resamples > _MAX_RESAMPLES:
                     raise PoleAtSample(
                         "could not find %d pole-free spectral samples"
-                        % lambda_samples)
+                        % _LAMBDA_SAMPLES)
                 continue
             rows.append([Fraction(1), a, b, a * a, a * b, b * b])
         if not linalg.nullspace(rows):

@@ -27,65 +27,65 @@ __all__ = [
     "corpus_payload", "corpus_text",
 ]
 
-DEFAULT_LIMIT = 200
+LIMIT = 200
 
 
-def truncate(text: str, limit: int = DEFAULT_LIMIT) -> str:
-    """Shorten long strings, appending length and a stable content hash."""
-    if len(text) <= limit:
+def truncate(text: str) -> str:
+    """Shorten strings past :data:`LIMIT` characters, appending length and a
+    stable content hash."""
+    if len(text) <= LIMIT:
         return text
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-    return "%s... [%d chars, sha256/%s]" % (text[:limit], len(text), digest)
+    return "%s... [%d chars, sha256/%s]" % (text[:LIMIT], len(text), digest)
 
 
-def matrix_rows(matrix, limit: int) -> List[List[str]]:
-    return [[truncate(str(entry), limit) for entry in row] for row in matrix]
+def matrix_rows(matrix) -> List[List[str]]:
+    return [[truncate(str(entry)) for entry in row] for row in matrix]
 
 
 # -- metrics ----------------------------------------------------------------
 
 
-def metric_payload(metric: Metric, limit: int = DEFAULT_LIMIT) -> Dict:
+def metric_payload(metric: Metric) -> Dict:
     return {
         "coordinates": list(metric.coords.base),
-        "rows": matrix_rows(metric.matrix, limit),
-        "determinant": truncate(str(metric.determinant()), limit),
+        "rows": matrix_rows(metric.matrix),
+        "determinant": truncate(str(metric.determinant())),
     }
 
 
-def metric_text(metric: Metric, limit: int = DEFAULT_LIMIT) -> str:
+def metric_text(metric: Metric) -> str:
     lines = ["covariant metric (coordinates %s):"
              % ", ".join(metric.coords.base)]
     for name, row in zip(metric.coords.base, metric.matrix):
         lines.append("  %s: [%s]" % (name, ", ".join(
-            truncate(str(entry), limit) for entry in row)))
-    lines.append("  det = %s" % truncate(str(metric.determinant()), limit))
+            truncate(str(entry)) for entry in row)))
+    lines.append("  det = %s" % truncate(str(metric.determinant())))
     return "\n".join(lines)
 
 
 # -- spectral pairs and Frobenius reports -------------------------------------
 
 
-def pair_payload(pair: LaxPair, limit: int = DEFAULT_LIMIT) -> Dict:
-    return {name: truncate(str(c), limit)
+def pair_payload(pair: LaxPair) -> Dict:
+    return {name: truncate(str(c))
             for name, c in pair.coefficients().items()}
 
 
-def pair_text(pair: LaxPair, limit: int = DEFAULT_LIMIT) -> str:
-    return "\n".join("  %-5s = %s" % (name, truncate(str(c), limit))
+def pair_text(pair: LaxPair) -> str:
+    return "\n".join("  %-5s = %s" % (name, truncate(str(c)))
                      for name, c in pair.coefficients().items())
 
 
-def lax_payload(report: LaxReport, limit: int = DEFAULT_LIMIT,
-                characteristic: Optional[bool] = None) -> Dict:
+def lax_payload(report: LaxReport, characteristic: Optional[bool] = None) -> Dict:
     residuals = {}
     for label in sorted(report.raw):
         raw, reduced = report.raw[label], report.reduced[label]
         entry = {"raw_zero": raw.is_zero(), "reduced_zero": reduced.is_zero()}
         if not raw.is_zero():
-            entry["raw"] = truncate(str(raw), limit)
+            entry["raw"] = truncate(str(raw))
         if not reduced.is_zero():
-            entry["reduced"] = truncate(str(reduced), limit)
+            entry["reduced"] = truncate(str(reduced))
         residuals[label] = entry
     payload = {
         "verdict": report.verdict.value,
@@ -97,8 +97,7 @@ def lax_payload(report: LaxReport, limit: int = DEFAULT_LIMIT,
     return payload
 
 
-def lax_text(report: LaxReport, limit: int = DEFAULT_LIMIT,
-             characteristic: Optional[bool] = None) -> str:
+def lax_text(report: LaxReport, characteristic: Optional[bool] = None) -> str:
     lines = ["verdict: %s" % report.verdict.value,
              "normal frame: %s" % ("yes" if report.pair.is_normal() else "no")]
     if characteristic is not None:
@@ -111,7 +110,7 @@ def lax_text(report: LaxReport, limit: int = DEFAULT_LIMIT,
         elif reduced.is_zero():
             status = "vanishes modulo the system"
         else:
-            status = "nonzero: %s" % truncate(str(reduced), limit)
+            status = "nonzero: %s" % truncate(str(reduced))
         lines.append("  residual %-10s %s" % (label + ":", status))
     return "\n".join(lines)
 
@@ -119,51 +118,48 @@ def lax_text(report: LaxReport, limit: int = DEFAULT_LIMIT,
 # -- curvature residuals -------------------------------------------------------
 
 
-def residual_payload(res: ResidualTensor, limit: int = DEFAULT_LIMIT) -> Dict:
+def residual_payload(res: ResidualTensor) -> Dict:
     payload = {"classification": res.classify().value}
     witness = res.witness()
     if witness is not None:
         payload["witness"] = {"component": witness[0],
-                              "value": truncate(str(witness[1]), limit)}
+                              "value": truncate(str(witness[1]))}
     return payload
 
 
-def residual_text(res: ResidualTensor, label: str,
-                  limit: int = DEFAULT_LIMIT) -> str:
+def residual_text(res: ResidualTensor, label: str) -> str:
     lines = ["%s residual: %s" % (label, res.classify().value)]
     witness = res.witness()
     if witness is not None:
         lines.append("  witness %s = %s"
-                     % (witness[0], truncate(str(witness[1]), limit)))
+                     % (witness[0], truncate(str(witness[1]))))
     return "\n".join(lines)
 
 
-def sd_payload(report: SelfDualityReport, limit: int = DEFAULT_LIMIT) -> Dict:
-    payload = residual_payload(report.residual, limit)
+def sd_payload(report: SelfDualityReport) -> Dict:
+    payload = residual_payload(report.residual)
     payload["orientation"] = report.orientation
     payload["formal_volume"] = report.formal_pair
     if report.volume_sqrt is not None:
-        payload["volume_sqrt"] = truncate(str(report.volume_sqrt), limit)
+        payload["volume_sqrt"] = truncate(str(report.volume_sqrt))
     return payload
 
 
-def sd_text(report: SelfDualityReport, limit: int = DEFAULT_LIMIT) -> str:
+def sd_text(report: SelfDualityReport) -> str:
     lines = [residual_text(report.residual,
-                           "self-duality (orientation %s)" % report.orientation,
-                           limit)]
+                           "self-duality (orientation %s)" % report.orientation)]
     if report.volume_sqrt is not None:
         lines.append("  volume square root: %s"
-                     % truncate(str(report.volume_sqrt), limit))
+                     % truncate(str(report.volume_sqrt)))
     else:
         lines.append("  no rational volume square root; "
                      "checked the formal pair of residuals")
     return "\n".join(lines)
 
 
-def weyl_form_payload(solution: WeylFormSolution, coords,
-                      limit: int = DEFAULT_LIMIT) -> Dict:
+def weyl_form_payload(solution: WeylFormSolution, coords) -> Dict:
     return {
-        "omega": {name: truncate(str(component), limit)
+        "omega": {name: truncate(str(component))
                   for name, component in zip(coords.base, solution.omega)},
         "unique": solution.unique,
         "family_dim": solution.family_dim,
@@ -171,15 +167,14 @@ def weyl_form_payload(solution: WeylFormSolution, coords,
     }
 
 
-def weyl_form_text(solution: WeylFormSolution, coords,
-                   limit: int = DEFAULT_LIMIT) -> str:
-    parts = ", ".join("%s: %s" % (name, truncate(str(component), limit))
+def weyl_form_text(solution: WeylFormSolution, coords) -> str:
+    parts = ", ".join("%s: %s" % (name, truncate(str(component)))
                       for name, component in zip(coords.base, solution.omega))
     qualifier = "unique in ansatz" if solution.unique else (
         "%d-parameter family" % solution.family_dim)
     return "covector found (%s)\n  omega = [%s]\n  %s" % (
         qualifier, parts,
-        residual_text(solution.residual, "Einstein-Weyl", limit))
+        residual_text(solution.residual, "Einstein-Weyl"))
 
 
 # -- corpus -------------------------------------------------------------------

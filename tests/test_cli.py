@@ -255,6 +255,50 @@ class TestCorpusCommands:
         assert payload["exit_code"] == EXIT_OK
 
 
+class TestReductionBudget:
+    """``--max-order`` is on every subcommand except ``corpus list``, and
+    every one that takes it reduces under it."""
+
+    @pytest.mark.parametrize("argv, entry", [
+        (("ew", "check", "--max-order", "1"), "dkp"),
+        (("ew", "check", "--solve-omega", "--max-order", "1"), "dkp"),
+        (("lax", "verify", "--max-order", "1"), "dkp"),
+        (("lax", "normalize", "--max-order", "1"), "manakov_santini"),
+        (("sd", "check", "--orientation", "-", "--max-order", "2"),
+         "second_heavenly"),
+    ])
+    def test_budget_is_a_named_error(self, capsys, dspec_path, argv, entry):
+        code, out, err = run(capsys, *argv, dspec_path[entry])
+        assert code == EXIT_ERROR
+        assert err.startswith("error: reduction needs jet order")
+
+    @pytest.mark.parametrize("argv", [
+        ("symbol",), ("metric", "--sample"), ("lax", "recover-metric"),
+    ])
+    def test_commands_within_budget_accept_it(self, capsys, dspec_path, argv):
+        budgeted = run(capsys, *argv, "--max-order", "2", dspec_path["dkp"])
+        assert budgeted == run(capsys, *argv, dspec_path["dkp"])
+
+    def test_corpus_verify_reduces_every_check_under_it(self, capsys):
+        code, out, err = run(capsys, "corpus", "verify", "second_heavenly",
+                             "--max-order", "2", "--format", "json")
+        assert code == EXIT_NEGATIVE
+        checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
+        assert not checks["orientation"]["passed"]
+        assert "OrderBudgetExceeded" in checks["orientation"]["detail"]
+
+    @pytest.mark.parametrize("argv", [
+        ("corpus", "list", "--max-order", "1"),
+        ("ew", "check", "--seed", "1", "unused.dspec"),
+    ])
+    def test_options_a_command_does_not_read_are_usage_errors(self, capsys,
+                                                              argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestErrorHandling:
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "metric", "/nonexistent/nope.dspec")

@@ -127,12 +127,41 @@ class TestGuards:
             dkp_system.reduce(ONE / res)
 
     def test_order_budget(self, c3, dkp_system):
-        with pytest.raises(OrderBudgetExceeded):
-            dkp_system.reduce(c3.jet("u", "xxxxxt"), max_order=3)
+        budgeted = SolvedSystem(c3, dkp_system.equations, max_order=3)
+        with pytest.raises(OrderBudgetExceeded,
+                           match="reduction needs jet order 6, budget is 3"):
+            budgeted.reduce(c3.jet("u", "xxxxxt"))
 
     def test_budget_permits_within_limit(self, c3, dkp_system):
-        got = dkp_system.reduce(c3.jet("u", "xxt"), max_order=4)
+        budgeted = SolvedSystem(c3, dkp_system.equations, max_order=4)
+        got = budgeted.reduce(c3.jet("u", "xxt"))
         assert not got.is_zero()
+        assert got == dkp_system.reduce(c3.jet("u", "xxt"))
+
+    def test_budget_is_read_only(self, c3, dkp_system):
+        budgeted = SolvedSystem(c3, dkp_system.equations, max_order=3)
+        assert budgeted.max_order == 3
+        assert dkp_system.max_order is None
+        with pytest.raises(AttributeError):
+            budgeted.max_order = 9
+
+    @pytest.mark.parametrize("method, message", [
+        ("reduce", "reduction needs jet order 6, budget is 3"),
+        ("cofactor_extract", "certificate needs jet order 6, budget is 3"),
+    ])
+    def test_budget_does_not_depend_on_history(self, c3, method, message):
+        """The same jet under the same budget raises whatever was reduced
+        before, on this system or on an unbudgeted one with the same
+        equations."""
+        jet = c3.jet("u", "xxxxxt")
+        rhs = (c3.jet("u", "yy") - c3.var("u") * c3.jet("u", "tt")
+               - c3.jet("u", "t") ** 2)
+        free = SolvedSystem.single(c3, "u", "xt", rhs, name="F")
+        getattr(free, method)(jet)
+        budgeted = SolvedSystem(c3, free.equations, max_order=3)
+        for _ in range(2):
+            with pytest.raises(OrderBudgetExceeded, match=message):
+                getattr(budgeted, method)(jet)
 
 
 class TestTwoEquationSystem:
