@@ -137,9 +137,12 @@ class Metric:
     coords: Coordinates
     matrix: List[List[Expr]]
     _inverse: Optional[List[List[Expr]]] = field(default=None, repr=False)
+    _determinant: Optional[Expr] = field(default=None, repr=False)
 
     def determinant(self) -> Expr:
-        return linalg.determinant(self.matrix)
+        if self._determinant is None:
+            self._determinant = linalg.determinant(self.matrix)
+        return self._determinant
 
     def inverse_matrix(self) -> List[List[Expr]]:
         if self._inverse is None:

@@ -52,6 +52,7 @@ ENTRIES = (
     "flat_counterexample",
     "second_heavenly",
     "dkp_broken",
+    "pavlov",
 )
 
 _VERDICTS = {

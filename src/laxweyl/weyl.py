@@ -27,18 +27,22 @@ with ``TF(S) = S - (1/3) tr_g(S) g`` and ``(nabla omega)_{ij} = D_i omega_j
 the conventions above.  :func:`ew_residual` computes the right-hand side,
 so curvature is only taken of the parameter-free Levi-Civita connection.
 
-In four dimensions :func:`weyl_curvature_tensor` builds the lowered
-Levi-Civita curvature ``R_{lkij} = g_{la} R^a_{kij}`` (same convention as
-above) straight from first and second total derivatives of the metric:
+In every dimension the Levi-Civita curvature comes from one kernel,
+:func:`_lowered_riemann`.  It builds ``R_{lkij} = g_{la} R^a_{kij}`` (same
+convention as above) straight from first and second total derivatives of
+the metric:
 
     R_{lkij} = 1/2 (D_k D_i g_{lj} + D_l D_j g_{ki}
                     - D_l D_i g_{kj} - D_k D_j g_{li})
                + g^{ab} (Gamma_{a,jl} Gamma_{b,ik} - Gamma_{a,il} Gamma_{b,jk})
 
 with the first-kind symbols ``Gamma_{a,jk} = 1/2 (D_j g_{ak} + D_k g_{aj}
-- D_a g_{jk})``, polynomial when ``g`` is.  Only the 21 pairs
-``(l, k) <= (i, j)`` are computed; pair symmetry and antisymmetry give the
-rest, and Ricci is contracted directly as ``Ric_{kj} = g^{il} R_{lkij}``.
+- D_a g_{jk})``, polynomial when ``g`` is.  Only the index pairs
+``(l, k) <= (i, j)`` are computed (6 in 3D, 21 in 4D); pair symmetry and
+antisymmetry give the rest.  Ricci is contracted from it directly as
+``Ric_{kj} = g^{il} R_{lkij}``: by :func:`ew_residual` in 3D and by
+:func:`weyl_curvature_tensor` in 4D.  :func:`riemann_tensor` and
+:func:`ricci_tensor` are for general connections; no residual calls them.
 """
 
 from __future__ import annotations
@@ -101,28 +105,40 @@ class ResidualTensor:
 # ---------------------------------------------------------------------------
 
 
+def _levi_civita_symbols(metric: Metric) -> tuple:
+    """``(dg, gamma1, gamma2)`` of the Levi-Civita connection: the table
+    ``dg[a][b][i] = D_i g_{ab}`` and the symbols of the first kind
+    ``gamma1[a][j][k] = Gamma_{a,jk}`` and of the second kind
+    ``gamma2[k][i][j] = Gamma^k_{ij} = g^{ka} Gamma_{a,ij}``."""
+    coords = metric.coords
+    n = coords.dim
+    g = metric.matrix
+    inv = metric.inverse_matrix()
+    D = coords.total_derivative
+    dg = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if not g[a][b].is_constant():
+                for i in range(n):
+                    dg[a][b][i] = dg[b][a][i] = D(g[a][b], i)
+    half = Expr.number(Fraction(1, 2))
+    gamma1 = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    gamma2 = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            for a in range(n):
+                gamma1[a][j][k] = gamma1[a][k][j] = half * (
+                    dg[a][k][j] + dg[a][j][k] - dg[j][k][a])
+            for a in range(n):
+                gamma2[a][j][k] = gamma2[a][k][j] = sum(
+                    (inv[a][b] * gamma1[b][j][k] for b in range(n)), ZERO)
+    return dg, gamma1, gamma2
+
+
 def christoffel_levi_civita(metric: Metric) -> List[List[List[Expr]]]:
     """Levi-Civita coefficients ``Gamma^k_{ij}`` (total derivatives of the
     metric entries, exact)."""
-    coords = metric.coords
-    n = coords.dim
-    inv = metric.inverse_matrix()
-    D = coords.total_derivative
-    dg = [[[D(metric.matrix[i][j], k) for k in range(n)] for j in range(n)]
-          for i in range(n)]
-    half = Expr.number(Fraction(1, 2))
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                total = ZERO
-                for l in range(n):
-                    total = total + inv[k][l] * (
-                        dg[l][j][i] + dg[i][l][j] - dg[i][j][l])
-                val = half * total
-                out[k][i][j] = val
-                out[k][j][i] = val
-    return out
+    return _levi_civita_symbols(metric)[2]
 
 
 def christoffel_weyl(metric: Metric, omega: Sequence[Expr]) -> List[List[List[Expr]]]:
@@ -151,7 +167,8 @@ def christoffel_weyl(metric: Metric, omega: Sequence[Expr]) -> List[List[List[Ex
 
 def riemann_tensor(coords: Coordinates,
                    gamma: List[List[List[Expr]]]) -> List[List[List[List[Expr]]]]:
-    """Curvature ``R^l_{kij}`` of a connection given by its coefficients."""
+    """Curvature ``R^l_{kij}`` of a general connection given by its
+    coefficients.  No residual calls it (see the module docstring)."""
     n = coords.dim
     D = coords.total_derivative
     dgamma = [[[[D(gamma[l][i][k], m) for m in range(n)] for k in range(n)]
@@ -172,11 +189,70 @@ def riemann_tensor(coords: Coordinates,
 
 def ricci_tensor(coords: Coordinates,
                  riemann: List[List[List[List[Expr]]]]) -> List[List[Expr]]:
-    """``Ric_{kj} = R^i_{kij}`` (not symmetric for a general Weyl
-    connection)."""
+    """``Ric_{kj} = R^i_{kij}`` of a general connection (not symmetric for a
+    Weyl connection).  No residual calls it (see the module docstring)."""
     n = coords.dim
     return [[sum((riemann[i][k][i][j] for i in range(n)), ZERO)
              for j in range(n)] for k in range(n)]
+
+
+def _lowered_riemann(metric: Metric, symbols: tuple) -> Dict[tuple, Expr]:
+    """Levi-Civita ``R_{lkij} = g_{la} R^a_{kij}`` on the keys ``l < k``,
+    ``i < j``, from the tables of :func:`_levi_civita_symbols` (module
+    docstring): the pairs ``(l, k) <= (i, j)``, mirrored by pair symmetry."""
+    coords = metric.coords
+    n = coords.dim
+    D = coords.total_derivative
+    dg, gamma1, gamma2 = symbols
+    # ddg[a][b][i][j] = D_i D_j g_ab
+    ddg = [[[[ZERO] * n for _ in range(n)] for _ in range(n)]
+           for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            for i in range(n):
+                d = dg[a][b][i]
+                if d.is_constant():
+                    continue
+                for j in range(i, n):
+                    dd = D(d, j)
+                    ddg[a][b][i][j] = ddg[a][b][j][i] = dd
+                    ddg[b][a][i][j] = ddg[b][a][j][i] = dd
+    half = Expr.number(Fraction(1, 2))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    out: Dict[tuple, Expr] = {}
+    for p, (l, k) in enumerate(pairs):
+        for i, j in pairs[p:]:
+            val = half * (ddg[l][j][k][i] + ddg[k][i][l][j]
+                          - ddg[k][j][l][i] - ddg[l][i][k][j])
+            for a in range(n):
+                val = val + gamma1[a][j][l] * gamma2[a][i][k] \
+                          - gamma1[a][i][l] * gamma2[a][j][k]
+            out[(l, k, i, j)] = out[(i, j, l, k)] = val
+    return out
+
+
+def _weyl_component(c: Dict[tuple, Expr], a: int, b: int, i: int, j: int) -> Expr:
+    """Any component of a tensor antisymmetric in each index pair, stored on
+    the keys ``a < b``, ``i < j``."""
+    if a == b or i == j:
+        return ZERO
+    val = c[(min(a, b), max(a, b), min(i, j), max(i, j))]
+    return val if (a < b) == (i < j) else -val
+
+
+def _levi_civita_ricci(metric: Metric,
+                       riem: Dict[tuple, Expr]) -> List[List[Expr]]:
+    """``Ric_{kj} = g^{il} R_{lkij}`` from :func:`_lowered_riemann`; it is
+    symmetric, so only ``k <= j`` is contracted."""
+    n = metric.coords.dim
+    inv = metric.inverse_matrix()
+    ric = [[ZERO] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k, n):
+            ric[k][j] = ric[j][k] = sum(
+                (inv[i][l] * _weyl_component(riem, l, k, i, j)
+                 for i in range(n) for l in range(n)), ZERO)
+    return ric
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +266,17 @@ def ew_residual(system: SolvedSystem, metric: Metric,
     modulo the system.  Vanishing mod the ideal is the Einstein--Weyl
     property of the conformal structure with Weyl form ``omega``.
 
-    Computed by the split in the module docstring: ``omega`` meets one total
-    derivative per component, products with the parameter-free Levi-Civita
-    coefficients and ``omega (x) omega``, never a curvature computation."""
+    Computed by the split in the module docstring: the Levi-Civita Ricci
+    tensor (symmetric) is contracted from :func:`_lowered_riemann`, and
+    ``omega`` meets one total derivative per component, products with the
+    Levi-Civita symbols and ``omega (x) omega``, never a curvature step."""
     coords = metric.coords
     n = coords.dim
     if n != 3:
         raise KernelError("the Einstein-Weyl residual is a 3D notion")
-    lc = christoffel_levi_civita(metric)
-    ric = ricci_tensor(coords, riemann_tensor(coords, lc))
+    symbols = _levi_civita_symbols(metric)
+    lc = symbols[2]
+    ric = _levi_civita_ricci(metric, _lowered_riemann(metric, symbols))
     D = coords.total_derivative
     domega = [[D(omega[j], i) for j in range(n)] for i in range(n)]
     half = Expr.number(Fraction(1, 2))
@@ -209,20 +287,14 @@ def ew_residual(system: SolvedSystem, metric: Metric,
             nabla = half * (domega[i][j] + domega[j][i])
             for k in range(n):
                 nabla = nabla - lc[k][i][j] * omega[k]
-            val = half * (ric[i][j] + ric[j][i]) - nabla + omega[i] * omega[j]
-            sym[i][j] = val
-            sym[j][i] = val
+            sym[i][j] = sym[j][i] = ric[i][j] - nabla + omega[i] * omega[j]
     inv = metric.inverse_matrix()
-    trace = ZERO
-    for i in range(n):
-        for j in range(n):
-            trace = trace + inv[i][j] * sym[i][j]
+    trace = sum((inv[i][j] * sym[i][j] for i in range(n) for j in range(n)),
+                ZERO)
     third = Expr.number(Fraction(1, 3))
-    raw = {}
-    for i in range(n):
-        for j in range(i, n):
-            label = coords.base[i] + coords.base[j]
-            raw[label] = sym[i][j] - third * trace * metric.matrix[i][j]
+    raw = {coords.base[i] + coords.base[j]:
+           sym[i][j] - third * trace * metric.matrix[i][j]
+           for i in range(n) for j in range(i, n)}
     reduced = {k: system.reduce(v) for k, v in raw.items()}
     return ResidualTensor(coords, raw, reduced)
 
@@ -266,58 +338,6 @@ def _complement_with_sign(k: int, l: int) -> tuple:
 _STAR4 = {pair: _complement_with_sign(*pair) for pair in _PAIRS4}
 
 
-def _lowered_riemann(metric: Metric) -> Dict[tuple, Expr]:
-    """Levi-Civita ``R_{lkij} = g_{la} R^a_{kij}`` of a 4D metric on the keys
-    ``l < k``, ``i < j``, from the formula in the module docstring: the 21
-    pairs ``(l, k) <= (i, j)``, mirrored by pair symmetry."""
-    coords = metric.coords
-    n = coords.dim
-    g = metric.matrix
-    inv = metric.inverse_matrix()
-    D = coords.total_derivative
-    # dg[a][b][i] = D_i g_ab, ddg[a][b][i][j] = D_i D_j g_ab
-    dg = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    ddg = [[[[ZERO] * n for _ in range(n)] for _ in range(n)]
-           for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            if g[a][b].is_constant():
-                continue
-            for i in range(n):
-                d = D(g[a][b], i)
-                dg[a][b][i] = dg[b][a][i] = d
-                if d.is_constant():
-                    continue
-                for j in range(i, n):
-                    dd = D(d, j)
-                    ddg[a][b][i][j] = ddg[a][b][j][i] = dd
-                    ddg[b][a][i][j] = ddg[b][a][j][i] = dd
-    half = Expr.number(Fraction(1, 2))
-    # first kind gamma1[a][j][k] = Gamma_{a,jk}, second kind gamma2 = g^-1 gamma1
-    gamma1 = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                gamma1[a][j][k] = gamma1[a][k][j] = half * (
-                    dg[a][k][j] + dg[a][j][k] - dg[j][k][a])
-    gamma2 = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                gamma2[a][j][k] = gamma2[a][k][j] = sum(
-                    (inv[a][b] * gamma1[b][j][k] for b in range(n)), ZERO)
-    out: Dict[tuple, Expr] = {}
-    for p, (l, k) in enumerate(_PAIRS4):
-        for i, j in _PAIRS4[p:]:
-            val = half * (ddg[l][j][k][i] + ddg[k][i][l][j]
-                          - ddg[k][j][l][i] - ddg[l][i][k][j])
-            for a in range(n):
-                val = val + gamma1[a][j][l] * gamma2[a][i][k] \
-                          - gamma1[a][i][l] * gamma2[a][j][k]
-            out[(l, k, i, j)] = out[(i, j, l, k)] = val
-    return out
-
-
 def weyl_curvature_tensor(metric: Metric) -> Dict[tuple, Expr]:
     """Fully covariant conformal Weyl tensor ``C_{a b i j}`` of a 4D metric,
     returned on the index set ``a < b``, ``i < j`` (the other components
@@ -328,46 +348,21 @@ def weyl_curvature_tensor(metric: Metric) -> Dict[tuple, Expr]:
         raise KernelError("the conformal Weyl tensor is computed in 4D only")
     g = metric.matrix
     inv = metric.inverse_matrix()
-    riem = _lowered_riemann(metric)
-    # Ric_{kj} = g^{il} R_{lkij}, symmetric for the Levi-Civita connection
-    ric = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k, n):
-            ric[k][j] = ric[j][k] = sum(
-                (inv[i][l] * _weyl_component(riem, l, k, i, j)
-                 for i in range(n) for l in range(n)), ZERO)
-    scal = ZERO
-    for i in range(n):
-        for j in range(n):
-            scal = scal + inv[i][j] * ric[i][j]
+    riem = _lowered_riemann(metric, _levi_civita_symbols(metric))
+    ric = _levi_civita_ricci(metric, riem)
+    scal = sum((inv[i][j] * ric[i][j] for i in range(n) for j in range(n)),
+               ZERO)
     half = Expr.number(Fraction(1, 2))
     sixth = Expr.number(Fraction(1, 6))
     # Schouten for n=4: P = (Ric - Scal g / 6) / 2
     P = [[half * (ric[i][j] - sixth * scal * g[i][j]) for j in range(n)]
          for i in range(n)]
     out: Dict[tuple, Expr] = {}
-    for a, b in _PAIRS4:
-        for i, j in _PAIRS4:
-            out[(a, b, i, j)] = riem[(a, b, i, j)] \
-                - (g[a][i] * P[j][b] - g[a][j] * P[i][b]
-                   + g[b][j] * P[i][a] - g[b][i] * P[j][a])
+    for a, b, i, j in sorted(riem):
+        out[(a, b, i, j)] = riem[(a, b, i, j)] \
+            - (g[a][i] * P[j][b] - g[a][j] * P[i][b]
+               + g[b][j] * P[i][a] - g[b][i] * P[j][a])
     return out
-
-
-def _weyl_component(c: Dict[tuple, Expr], a: int, b: int, i: int, j: int) -> Expr:
-    """Any component of a tensor antisymmetric in each index pair, stored on
-    the keys ``a < b``, ``i < j``."""
-    if a == b or i == j:
-        return ZERO
-    sign = 1
-    if a > b:
-        a, b = b, a
-        sign = -sign
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    val = c[(a, b, i, j)]
-    return val if sign > 0 else -val
 
 
 def dual_on_second_pair(metric: Metric,

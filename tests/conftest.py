@@ -137,3 +137,53 @@ def random_frame_4d(coords: Coordinates, rng: random.Random) -> tuple:
                 * Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
 
     return tuple(coefficient() + lam * coefficient() for _ in range(4))
+
+
+# Textbook curvature for sympy oracles.  Entries are sympy expressions or
+# elements of a sympy rational function field; ``e.diff(X[i])`` is the
+# derivative in the i-th base coordinate (the total derivative when the
+# unknowns are sympy functions of ``X``), and ``zero`` is the zero entry.
+
+
+def sympy_levi_civita(X, g, gi, zero) -> list:
+    """``G^k_ij = g^kl (d_j g_li + d_i g_lj - d_l g_ij) / 2``, as
+    ``G[k][i][j]``, for the metric ``g`` with inverse ``gi``."""
+    n = len(X)
+    return [[[sum((gi[k][l] * (g[l][i].diff(X[j]) + g[l][j].diff(X[i])
+                               - g[i][j].diff(X[l])) for l in range(n)),
+                  zero) / 2
+              for j in range(n)] for i in range(n)] for k in range(n)]
+
+
+def sympy_curvature(X, G, zero) -> tuple:
+    """``R(r, s, m, v) = R^r_smv = d_m G^r_vs - d_v G^r_ms + G^r_ml G^l_vs
+    - G^r_vl G^l_ms``, computed per call, and ``Ric_sv = R^r_srv`` of the
+    connection ``G^k_ij = G[k][i][j]``."""
+    n = len(X)
+
+    def R(r, s, m, v):
+        return (G[r][v][s].diff(X[m]) - G[r][m][s].diff(X[v])
+                + sum((G[r][m][l] * G[l][v][s] - G[r][v][l] * G[l][m][s]
+                       for l in range(n)), zero))
+
+    ric = [[sum((R(r, s, r, v) for r in range(n)), zero) for v in range(n)]
+           for s in range(n)]
+    return R, ric
+
+
+def sympy_ew_residual(X, g, gi, w, zero) -> dict:
+    """Trace-free part of ``Sym Ric`` of the Weyl connection ``G^k_ij =
+    L^k_ij + delta^k_i w_j + delta^k_j w_i - g_ij w^k`` on the Levi-Civita
+    ``L``, on the keys ``(i, j)``, ``i <= j``."""
+    n = len(X)
+    L = sympy_levi_civita(X, g, gi, zero)
+    w_up = [sum((gi[k][l] * w[l] for l in range(n)), zero) for k in range(n)]
+    G = [[[L[k][i][j] + (w[j] if k == i else zero) + (w[i] if k == j else zero)
+           - g[i][j] * w_up[k]
+           for j in range(n)] for i in range(n)] for k in range(n)]
+    _, ric = sympy_curvature(X, G, zero)
+    sym = [[(ric[i][j] + ric[j][i]) / 2 for j in range(n)] for i in range(n)]
+    trace = sum((gi[i][j] * sym[i][j] for i in range(n) for j in range(n)),
+                zero)
+    return {(i, j): sym[i][j] - trace * g[i][j] / n
+            for i in range(n) for j in range(i, n)}

@@ -10,7 +10,10 @@ import pytest
 from laxweyl import (Coordinates, Expr, ONE, Quadric, SolvedSystem, ZERO,
                      characteristic_polynomial, characteristic_quadric,
                      conformal_equal, conformal_metric, invert_to_metric,
-                     matrix_symbol, signature_at, theta_decompose)
+                     matrix_symbol, sd_residual, signature_at,
+                     theta_decompose)
+from laxweyl import linalg
+from laxweyl.reports import metric_payload, metric_text
 from laxweyl.errors import (DegenerateQuadric, NotAQuadric, PoleAtSample,
                             SingularSample)
 
@@ -115,6 +118,24 @@ class TestInvertToMetric:
         for i in range(3):
             for j in range(3):
                 assert (inv[i][j] - q.matrix[i][j]).is_zero()
+
+    def test_determinant_eliminated_once(self, second_heavenly, monkeypatch):
+        """Both self-duality orientations and both metric reports share one
+        cached determinant (the inverse is taken first: ``linalg.invert``
+        computes its own)."""
+        doc = second_heavenly
+        g = conformal_metric(doc.system)
+        g.inverse_matrix()
+        calls = []
+        real = linalg.determinant
+        monkeypatch.setattr(linalg, "determinant",
+                            lambda m: calls.append(m) or real(m))
+        for orientation in "+-":
+            sd_residual(doc.system, g, orientation)
+        metric_payload(g)
+        metric_text(g)
+        assert len(calls) == 1
+        assert g.determinant() == real(g.matrix)
 
     def test_rejects_on_shell_degeneracy(self, dkp):
         c = dkp.coords

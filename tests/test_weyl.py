@@ -18,7 +18,8 @@ from laxweyl import (Classification, Coordinates, Expr, Metric, ONE, ZERO,
 from laxweyl import weyl as W
 from laxweyl.errors import KernelError, NoSolution
 
-from conftest import random_fraction
+from conftest import (random_fraction, sympy_curvature, sympy_ew_residual,
+                      sympy_levi_civita)
 
 
 class TestChristoffels:
@@ -100,6 +101,11 @@ class TestEinsteinWeylResidual:
         doc = flat_counterexample
         res = ew_residual(doc.system, doc.metric, doc.omega)
         assert res.classify() is Classification.IDENTICALLY_ZERO
+
+    def test_four_dimensions_rejected(self, second_heavenly):
+        doc = second_heavenly
+        with pytest.raises(KernelError):
+            ew_residual(doc.system, doc.metric, [ZERO] * 4)
 
 
 # written by perfbench/symgen.py: dKP under x -> x + t/2, metric and covector
@@ -456,32 +462,25 @@ BASE_METRIC_ROWS = [["x*y", "1", "0", "0"], ["1", "0", "0", "x*t"],
                     ["0", "0", "1/(1 + z*t)", "0"], ["0", "x*t", "0", "y*z"]]
 
 
-def _sympy_weyl(rows, names: str) -> tuple:
-    """Textbook Weyl tensor in sympy's rational function field: Christoffel
-    symbols ``G^k_ij``, ``R^r_smv = d_m G^r_vs - d_v G^r_ms + G^r_ml G^l_vs
-    - G^r_vl G^l_ms``, ``Ric_sv = R^r_srv``, Schouten ``P = (Ric - S g/6)/2``
-    and ``C = Rm - g (Kulkarni-Nomizu) P``."""
+def _sympy_metric(rows, names: str) -> tuple:
+    """The field ``K = QQ(names)``, its generators ``X``, and the metric
+    given as text with its inverse, in ``K``."""
     K, *X = sympy.field(names, sympy.QQ)
-    n = len(X)
-    zero = K(0)
     g_expr = sympy.Matrix([[parse_expr(e, transformations=_SYMPY_TRANSFORMS)
                             for e in row] for row in rows])
     gi = [[K(e) for e in row] for row in g_expr.inv().tolist()]
     g = [[K(e) for e in row] for row in g_expr.tolist()]
+    return K, X, g, gi
 
-    def d(e, i):
-        return e.diff(X[i])
 
-    G = [[[sum((gi[k][l] * (d(g[l][i], j) + d(g[l][j], i) - d(g[i][j], l))
-                for l in range(n)), zero) / 2
-           for j in range(n)] for i in range(n)] for k in range(n)]
-    R = [[[[d(G[r][v][s], m) - d(G[r][m][s], v)
-            + sum((G[r][m][l] * G[l][v][s] - G[r][v][l] * G[l][m][s]
-                   for l in range(n)), zero)
-            for v in range(n)] for m in range(n)] for s in range(n)]
-         for r in range(n)]
-    ric = [[sum((R[r][s][r][v] for r in range(n)), zero) for v in range(n)]
-           for s in range(n)]
+def _sympy_weyl(rows, names: str) -> tuple:
+    """Textbook Weyl tensor in sympy's rational function field: Christoffel
+    symbols, Riemann and Ricci (``conftest``), Schouten
+    ``P = (Ric - S g/6)/2`` and ``C = Rm - g (Kulkarni-Nomizu) P``."""
+    K, X, g, gi = _sympy_metric(rows, names)
+    n = len(X)
+    zero = K(0)
+    R, ric = sympy_curvature(X, sympy_levi_civita(X, g, gi, zero), zero)
     scal = sum((gi[s][v] * ric[s][v] for s in range(n) for v in range(n)),
                zero)
     P = [[(ric[a][b] - scal * g[a][b] / 6) / 2 for b in range(n)]
@@ -489,7 +488,7 @@ def _sympy_weyl(rows, names: str) -> tuple:
     out = {}
     for a, b in itertools.combinations(range(n), 2):
         for c, e in itertools.combinations(range(n), 2):
-            low = sum((g[a][r] * R[r][b][c][e] for r in range(n)), zero)
+            low = sum((g[a][r] * R(r, b, c, e) for r in range(n)), zero)
             out[(a, b, c, e)] = low - (g[a][c] * P[b][e] - g[a][e] * P[b][c]
                                        + g[b][e] * P[a][c]
                                        - g[b][c] * P[a][e])
@@ -507,3 +506,47 @@ class TestWeylTensorSympy:
         for key, value in ref.items():
             mine = parse_expr(str(c[key]), transformations=_SYMPY_TRANSFORMS)
             assert K(mine) == value, key
+
+
+# rational in the base coordinates, A^T diag(x*y^2, t^2 + y, x^2/(1 + t)) A
+# for A = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]: the determinant
+# (t^2*x^3*y^2 + x^3*y^3)/(t + 1) has several terms, and flipping the sign of
+# any term of the curvature kernel, of nabla omega or of omega (x) omega
+# changes the residual
+BASE_METRIC_ROWS_3D = [["x*y^2", "x*y^2", "0"],
+                       ["x*y^2", "x*y^2 + t^2 + y", "t^2 + y"],
+                       ["0", "t^2 + y", "t^2 + y + x^2/(1 + t)"]]
+BASE_OMEGA_3D = ["y", "x*t", "1/x"]
+
+
+def _sympy_ew(rows, omega, names: str) -> tuple:
+    """Textbook Einstein--Weyl residual (``conftest``) in sympy's rational
+    function field."""
+    K, X, g, gi = _sympy_metric(rows, names)
+    w = [K(parse_expr(e, transformations=_SYMPY_TRANSFORMS)) for e in omega]
+    return K, sympy_ew_residual(X, g, gi, w, K(0))
+
+
+class TestEinsteinWeylSympy:
+    """The 3D residual against the textbook Weyl connection, which shares no
+    code with laxweyl's Levi-Civita symbols (the reference of
+    :class:`TestEinsteinWeylSplit` does)."""
+
+    def test_base_coordinate_metric(self, dkp):
+        coords = dkp.coords
+        K, ref = _sympy_ew(BASE_METRIC_ROWS_3D, BASE_OMEGA_3D,
+                           ",".join(coords.base))
+        g = Metric(coords, [[parse_expression(e, coords) for e in row]
+                            for row in BASE_METRIC_ROWS_3D])
+        omega = [parse_expression(e, coords) for e in BASE_OMEGA_3D]
+        det = g.determinant()
+        assert len(det.num) > 1 and len(det.den) > 1
+        res = ew_residual(dkp.system, g, omega)
+        assert sorted(res.raw) == sorted(coords.base[i] + coords.base[j]
+                                         for i, j in ref)
+        assert all(value != 0 for value in ref.values())
+        for (i, j), value in ref.items():
+            label = coords.base[i] + coords.base[j]
+            mine = parse_expr(str(res.raw[label]),
+                              transformations=_SYMPY_TRANSFORMS)
+            assert K(mine) == value, label
