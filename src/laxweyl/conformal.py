@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
+    DegenerateLinearSystem,
     DegenerateQuadric,
     NotAQuadric,
     PoleAtSample,
@@ -145,8 +146,21 @@ class Metric:
         return self._determinant
 
     def inverse_matrix(self) -> List[List[Expr]]:
+        """``adj(g)/det(g)`` over the cached determinant; ``g`` is symmetric,
+        so only the cofactors with ``i <= j`` are taken and mirrored."""
         if self._inverse is None:
-            self._inverse = linalg.invert(self.matrix, what="metric")
+            det = self.determinant()
+            if det.is_zero():
+                raise DegenerateLinearSystem("metric is singular")
+            n = len(self.matrix)
+            inv: List[List[Expr]] = [[ZERO] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    cof = linalg.minor(self.matrix, i, j)
+                    if (i + j) % 2:
+                        cof = -cof
+                    inv[i][j] = inv[j][i] = cof / det
+            self._inverse = inv
         return self._inverse
 
     def components(self) -> List[Expr]:

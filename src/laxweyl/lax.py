@@ -41,7 +41,7 @@ from .errors import (
     PoleAtSample,
     ReparametrizationError,
 )
-from .expr import Expr, Var, ZERO, ONE
+from .expr import Expr, Var, ZERO, ONE, poly_divexact, poly_gcd
 from .ideal import SolvedSystem
 from .jets import Coordinates
 from .weyl import christoffel_weyl, first_nonzero
@@ -363,11 +363,24 @@ def _clear_lambda_denominators(funcs: Sequence[Expr]) -> List[Expr]:
 def conic_oracle(coords: Coordinates, alpha: Expr, beta: Expr) -> bool:
     """Exact test: does the curve ``lam -> (alpha, beta)`` lie on a conic
     (possibly degenerate) with coefficients independent of the spectral
-    parameter?  Decided by a kernel computation for the lambda-coefficient
-    matrix of ``{1, alpha, beta, alpha^2, alpha beta, beta^2}``."""
-    funcs = [ONE, alpha, beta, alpha * alpha, alpha * beta, beta * beta]
-    rows = _lambda_coefficient_rows(coords, [funcs])
-    return len(linalg.nullspace(rows)) > 0
+    parameter?
+
+    The test runs on the homogeneous coordinates ``[c : A : B]`` with
+    ``c = lcm(den alpha, den beta)``, ``A = c alpha`` and ``B = c beta``, all
+    polynomial in ``lam``.  The six quadratic monomials ``c^2, cA, cB, A^2,
+    AB, B^2`` are ``{1, alpha, beta, alpha^2, alpha beta, beta^2}`` times the
+    nonzero ``c^2``, so their linear relations over the lambda-free field
+    are the conics through the curve: the curve lies on one exactly when the
+    lambda-coefficient matrix, one row per power of ``lam`` and one column
+    per monomial, has a nonzero kernel.  Fewer than six nonzero rows bound
+    the rank below six, so such a matrix always has a kernel and needs no
+    elimination."""
+    da, db = alpha.denominator(), beta.denominator()
+    c = poly_divexact(da, poly_gcd(da, db)) * db
+    a, b = c * alpha, c * beta
+    rows = _lambda_coefficient_rows(
+        coords, [[c * c, c * a, c * b, a * a, a * b, b * b]])
+    return len(rows) < 6 or len(linalg.nullspace(rows)) > 0
 
 
 _JET_TRIALS = 3        # random jet points per sampling check

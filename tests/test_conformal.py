@@ -120,22 +120,39 @@ class TestInvertToMetric:
                 assert (inv[i][j] - q.matrix[i][j]).is_zero()
 
     def test_determinant_eliminated_once(self, second_heavenly, monkeypatch):
-        """Both self-duality orientations and both metric reports share one
-        cached determinant (the inverse is taken first: ``linalg.invert``
-        computes its own)."""
+        """The inverse, both self-duality orientations and both metric
+        reports share one cached determinant: one 4x4 elimination in all
+        (the inverse's cofactor minors are 3x3)."""
         doc = second_heavenly
         g = conformal_metric(doc.system)
-        g.inverse_matrix()
         calls = []
         real = linalg.determinant
         monkeypatch.setattr(linalg, "determinant",
                             lambda m: calls.append(m) or real(m))
+        g.inverse_matrix()
         for orientation in "+-":
             sd_residual(doc.system, g, orientation)
         metric_payload(g)
         metric_text(g)
-        assert len(calls) == 1
+        assert sum(len(m) == 4 for m in calls) == 1
         assert g.determinant() == real(g.matrix)
+
+    def test_inverse_uses_cached_determinant(self, second_heavenly,
+                                             monkeypatch):
+        """``inverse_matrix`` then ``determinant`` eliminates the 4x4 metric
+        once and takes only the 10 cofactors with ``i <= j``; the result is
+        ``linalg.invert``'s, entry for entry."""
+        g = conformal_metric(second_heavenly.system)
+        sizes = []
+        real = linalg.determinant
+        monkeypatch.setattr(linalg, "determinant",
+                            lambda m: sizes.append(len(m)) or real(m))
+        inv = g.inverse_matrix()
+        g.determinant()
+        assert sorted(sizes) == [3] * 10 + [4]
+        monkeypatch.undo()
+        assert ([[str(e) for e in row] for row in inv]
+                == [[str(e) for e in row] for row in linalg.invert(g.matrix)])
 
     def test_rejects_on_shell_degeneracy(self, dkp):
         c = dkp.coords

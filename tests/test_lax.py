@@ -65,6 +65,15 @@ def conic_by_full_matrix(coords, alpha, beta) -> bool:
     return len(linalg.nullspace(matrix)) > 0
 
 
+def moebius_image(doc):
+    """The pencil of ``doc`` under ``lam -> (2 lam + 1)/(lam - 3)``, a
+    Moebius map with ``c != 0``."""
+    lam = doc.coords.var("lam")
+    image = (2 * lam + 1) / (lam - 3)
+    v = doc.coords.spectral_var()
+    return doc.pair.alpha.subs_var(v, image), doc.pair.beta.subs_var(v, image)
+
+
 def outcome(thunk):
     """The strings of a result sequence, or the error a degenerate input
     raises."""
@@ -344,6 +353,44 @@ class TestConicOracle:
             assert verdict == conic_by_full_matrix(c, alpha, beta), str(alpha)
             verdicts.add(verdict)
         assert verdicts == {False, True}
+
+    def test_homogeneous_coordinates_agree_with_references(
+            self, coords3, dkp, master_ew, manakov_santini, monkeypatch):
+        """Moebius images, denominators in the jets shared by both
+        coordinates, a conic with many lambda rows and a cubic: the verdict
+        matches the full matrix, the Monge invariant and sampling."""
+        c = coords3
+        lam, u, ux = c.var("lam"), c.var("u"), c.jet("u", "x")
+        pole = lam + ux
+        quadratic = lam * lam + lam
+        # (coords, alpha, beta, on a conic, decided by elimination)
+        cases = [(doc.coords,) + moebius_image(doc) + (True, False)
+                 for doc in (dkp, master_ew, manakov_santini)]
+        cases += [(c, u / pole ** 2, ONE / pole, True, False),
+                  (c, u / pole ** 3, ONE / pole, False, True),
+                  (c, quadratic, quadratic ** 2 + u * quadratic, True, True),
+                  (c, lam ** 3, lam, False, True)]
+        eliminations = []
+        real = linalg.nullspace
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda m: eliminations.append(m) or real(m))
+        for coords, alpha, beta, on_conic, eliminates in cases:
+            del eliminations[:]
+            verdict = conic_oracle(coords, alpha, beta)
+            assert verdict is on_conic, (str(alpha), str(beta))
+            assert bool(eliminations) is eliminates
+            assert verdict == conic_by_full_matrix(coords, alpha, beta)
+            assert verdict == monge_invariant(coords, alpha, beta).is_zero()
+            assert verdict == conic_oracle_sampling(coords, alpha, beta,
+                                                    seed=7)
+
+    def test_moebius_image_needs_no_elimination(self, dkp, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("conic_oracle eliminated")
+
+        alpha, beta = moebius_image(dkp)
+        monkeypatch.setattr(linalg, "nullspace", refuse)
+        assert conic_oracle(dkp.coords, alpha, beta)
 
 
 class TestRecoverMetric:
