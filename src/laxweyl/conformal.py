@@ -131,14 +131,27 @@ class Quadric:
         return Metric(self.coords, g)
 
 
+def _cache():
+    """A lazily filled cache slot: not a constructor argument, not printed,
+    and not part of equality."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass
 class Metric:
-    """A covariant symmetric 2-tensor ``g_ij`` with expression entries."""
+    """A covariant symmetric 2-tensor ``g_ij`` with expression entries.
+
+    The determinant, the inverse and, in 4D, the Weyl tensor with its dual
+    (filled by :func:`laxweyl.weyl.sd_residual`) are computed on first use
+    and cached on the object.  The caches assume ``matrix`` is not mutated
+    after that; :meth:`scaled` makes a fresh metric with empty caches."""
 
     coords: Coordinates
     matrix: List[List[Expr]]
-    _inverse: Optional[List[List[Expr]]] = field(default=None, repr=False)
-    _determinant: Optional[Expr] = field(default=None, repr=False)
+    _inverse: Optional[List[List[Expr]]] = _cache()
+    _determinant: Optional[Expr] = _cache()
+    # (C, V(C)) of weyl_curvature_tensor and dual_on_second_pair
+    _weyl_and_dual: Optional[tuple] = _cache()
 
     def determinant(self) -> Expr:
         if self._determinant is None:

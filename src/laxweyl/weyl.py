@@ -413,14 +413,21 @@ def sd_residual(system: SolvedSystem, metric: Metric,
     ``V(C)`` must vanish for the (anti-)self-duality to hold and the check
     degenerates to that pair (orientation is then immaterial); the report
     records which branch ran.
+
+    ``C`` and ``V(C)`` do not depend on the orientation or the system, so
+    they are built once per :class:`Metric` and kept on it: both
+    orientations on one metric share them.  Each call still builds and
+    reduces its own residual entries.
     """
     coords = metric.coords
     if coords.dim != 4:
         raise KernelError("self-duality is a 4D notion")
     if orientation not in ("+", "-"):
         raise ValueError("orientation must be '+' or '-'")
-    c = weyl_curvature_tensor(metric)
-    v = dual_on_second_pair(metric, c)
+    if metric._weyl_and_dual is None:
+        c = weyl_curvature_tensor(metric)
+        metric._weyl_and_dual = (c, dual_on_second_pair(metric, c))
+    c, v = metric._weyl_and_dual
     det = system.reduce(metric.determinant())
     s = expr_sqrt(det)
     labels = lambda key: "C[%s%s|%s%s]" % tuple(coords.base[i] for i in key)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from laxweyl import Coordinates, Expr, ONE, ZERO, corpus
+from laxweyl import Coordinates, Expr, Metric, ONE, ZERO, corpus
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +48,11 @@ def coords3():
 @pytest.fixture(scope="session")
 def coords4():
     return Coordinates(("z", "x", "y", "t"), ("u",))
+
+
+def fresh_metric(metric: Metric) -> Metric:
+    """The same matrix in a new :class:`Metric`, with every cache empty."""
+    return Metric(metric.coords, [list(row) for row in metric.matrix])
 
 
 def random_fraction(rng: random.Random, span: int = 6) -> Fraction:

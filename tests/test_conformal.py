@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from laxweyl import (Coordinates, Expr, ONE, Quadric, SolvedSystem, ZERO,
-                     characteristic_polynomial, characteristic_quadric,
+from laxweyl import (Coordinates, Expr, Metric, ONE, Quadric, SolvedSystem,
+                     ZERO, characteristic_polynomial, characteristic_quadric,
                      conformal_equal, conformal_metric, invert_to_metric,
                      matrix_symbol, sd_residual, signature_at,
                      theta_decompose)
@@ -16,6 +16,8 @@ from laxweyl import linalg
 from laxweyl.reports import metric_payload, metric_text
 from laxweyl.errors import (DegenerateQuadric, NotAQuadric, PoleAtSample,
                             SingularSample)
+
+from conftest import fresh_metric
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,29 @@ class TestInvertToMetric:
                     [ZERO, ZERO, ZERO, 2 * ONE],
                     [4 * uxy, ZERO, 2 * ONE, -4 * uxx]]
         assert entries_equal(g.matrix, expected)
+
+
+class TestMetricCaches:
+    """The determinant, inverse and Weyl caches are invisible: they are not
+    constructor arguments and do not take part in equality."""
+
+    def test_equality_ignores_filled_caches(self, second_heavenly):
+        doc = second_heavenly
+        g, h = fresh_metric(doc.metric), fresh_metric(doc.metric)
+        for fill in (g.determinant, g.inverse_matrix,
+                     lambda: sd_residual(doc.system, g, "-")):
+            fill()
+            assert g == h and h == g
+        assert g._weyl_and_dual is not None and h._weyl_and_dual is None
+        assert "_weyl_and_dual" not in repr(g)
+        assert g != g.scaled(2 * ONE)
+
+    @pytest.mark.parametrize("cache", ["_inverse", "_determinant",
+                                       "_weyl_and_dual"])
+    def test_constructor_rejects_cache_keywords(self, dkp, cache):
+        g = conformal_metric(dkp.system)
+        with pytest.raises(TypeError):
+            Metric(g.coords, g.matrix, **{cache: None})
 
 
 class TestConformalEqual:

@@ -12,14 +12,14 @@ from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
                                         standard_transformations)
 
 from laxweyl import (Classification, Coordinates, Expr, Metric, ONE, ZERO,
-                     conformal_metric, ew_residual, expr_sqrt, laplacian,
+                     conformal_metric, corpus, ew_residual, expr_sqrt, laplacian,
                      parse_document, parse_expression, sd_residual,
                      solve_weyl_form)
 from laxweyl import weyl as W
 from laxweyl.errors import KernelError, NoSolution
 
-from conftest import (random_fraction, sympy_curvature, sympy_ew_residual,
-                      sympy_levi_civita)
+from conftest import (fresh_metric, random_fraction, sympy_curvature,
+                      sympy_ew_residual, sympy_levi_civita)
 
 
 class TestChristoffels:
@@ -440,10 +440,15 @@ class TestWeylTensor4D:
             assert scaled[key] == f * value, key
 
     def test_pair_symmetry(self, second_heavenly):
+        """``C`` and, since the left and right duals of a Weyl tensor
+        agree, ``V(C)`` are symmetric under exchange of index pairs."""
         for g in _weyl_inputs(second_heavenly).values():
             c = W.weyl_curvature_tensor(g)
-            for (a, b, i, j), value in c.items():
-                assert c[(i, j, a, b)] == value
+            v = W.dual_on_second_pair(g, c)
+            assert any(not value.is_zero() for value in v.values())
+            for t in (c, v):
+                for (a, b, i, j), value in t.items():
+                    assert t[(i, j, a, b)] == value
 
     def test_three_dimensions_rejected(self, dkp):
         g = conformal_metric(dkp.system)
@@ -451,6 +456,61 @@ class TestWeylTensor4D:
             W.weyl_curvature_tensor(g)
         with pytest.raises(KernelError):
             W.dual_on_second_pair(g, {})
+
+
+def _sd_strings(report) -> list:
+    return ([report.classify().name, str(report.volume_sqrt),
+             str(report.formal_pair)]
+            + ["%s %s" % item for item in report.residual.raw.items()]
+            + ["%s %s" % item for item in report.residual.reduced.items()])
+
+
+class TestSelfDualityMemo:
+    """``C`` and ``V(C)`` are built once per :class:`Metric` and shared by
+    both orientations; everything ``sd_residual`` reports is unchanged."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"weyl_curvature_tensor": 0, "dual_on_second_pair": 0}
+        for name in calls:
+            real = getattr(W, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(W, name, counted)
+        return calls
+
+    def test_both_orientations_build_once(self, second_heavenly, counts):
+        doc = second_heavenly
+        g = fresh_metric(doc.metric)
+        sd_residual(doc.system, g, "+")
+        sd_residual(doc.system, g, "-")
+        assert counts == {"weyl_curvature_tensor": 1,
+                          "dual_on_second_pair": 1}
+        # a new metric, even a conformally equal one, builds its own
+        sd_residual(doc.system, g.scaled(1 + doc.coords.jet("u", "xy")), "-")
+        assert counts == {"weyl_curvature_tensor": 2,
+                          "dual_on_second_pair": 2}
+
+    def test_corpus_verify_builds_once(self, counts):
+        assert corpus.verify("second_heavenly").passed
+        assert counts == {"weyl_curvature_tensor": 1,
+                          "dual_on_second_pair": 1}
+
+    @pytest.mark.parametrize("which", ["corpus", "times_1_plus_u_xy",
+                                       "g_zz_rational", "scaled_0",
+                                       "scaled_1", "scaled_2"])
+    def test_shared_matches_fresh(self, which, second_heavenly):
+        g = _weyl_inputs(second_heavenly)[which]
+        system = second_heavenly.system
+        fresh = {o: _sd_strings(sd_residual(system, fresh_metric(g), o))
+                 for o in "+-"}
+        for order in ("+-", "-+"):
+            shared = fresh_metric(g)
+            for o in order:
+                assert _sd_strings(sd_residual(system, shared, o)) == fresh[o]
 
 
 _SYMPY_TRANSFORMS = standard_transformations + (convert_xor,)
