@@ -16,7 +16,7 @@ Layers, bottom to top:
 - :mod:`laxweyl.weyl`      Weyl connections, Einstein-Weyl residuals,
   self-duality residuals, covector search;
 - :mod:`laxweyl.lax`       lambda-dependent frames, Lax verdicts, normal
-  lifts, metric recovery, the Monge invariant and conic oracles;
+  lifts, metric recovery, the Monge invariant and the conic oracle;
 - :mod:`laxweyl.dsl`       a small text format for systems and frames;
 - :mod:`laxweyl.corpus`    bundled worked examples with expected outcomes;
 - :mod:`laxweyl.cli`       the ``laxweyl`` command-line interface.
@@ -46,7 +46,7 @@ from .errors import (
     DslError,
 )
 from .expr import Expr, Var, ZERO, ONE, poly_gcd, poly_divexact, expr_sqrt
-from .jets import Coordinates, pullback, grid_point
+from .jets import Coordinates, grid_point
 from .ideal import SolvedEquation, SolvedSystem, rank_key
 from .conformal import (
     Quadric,
@@ -68,7 +68,6 @@ from .weyl import (
     riemann_tensor,
     ricci_tensor,
     ew_residual,
-    laplacian,
     weyl_curvature_tensor,
     dual_on_second_pair,
     SelfDualityReport,
@@ -85,12 +84,11 @@ from .lax import (
     normal_lift_4d,
     monge_invariant,
     conic_oracle,
-    conic_oracle_sampling,
     recover_metric,
     weyl_lift_3d,
     congruence_from_vectors,
 )
-from .dsl import parse_document, parse_expression, format_expression, Document
+from .dsl import parse_document, parse_expression, Document
 
 __version__ = "0.1.0"
 
@@ -123,7 +121,6 @@ __all__ = [
     "poly_gcd",
     "poly_divexact",
     "Coordinates",
-    "pullback",
     "grid_point",
     "SolvedEquation",
     "SolvedSystem",
@@ -145,7 +142,6 @@ __all__ = [
     "riemann_tensor",
     "ricci_tensor",
     "ew_residual",
-    "laplacian",
     "expr_sqrt",
     "weyl_curvature_tensor",
     "dual_on_second_pair",
@@ -161,13 +157,11 @@ __all__ = [
     "normal_lift_4d",
     "monge_invariant",
     "conic_oracle",
-    "conic_oracle_sampling",
     "recover_metric",
     "weyl_lift_3d",
     "congruence_from_vectors",
     "parse_document",
     "parse_expression",
-    "format_expression",
     "Document",
     "__version__",
 ]

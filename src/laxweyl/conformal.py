@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import linalg
 from .errors import (
@@ -95,27 +95,6 @@ class Quadric:
 
     coords: Coordinates
     matrix: List[List[Expr]]
-
-    def form(self, theta: Sequence[Expr]) -> Expr:
-        n = self.coords.dim
-        total = ZERO
-        for i in range(n):
-            for j in range(n):
-                total = total + self.matrix[i][j] * theta[i] * theta[j]
-        return total
-
-    def polynomial(self) -> Expr:
-        thetas = [Expr.variable(v) for v in self.coords.theta_vars()]
-        return self.form(thetas)
-
-    def is_null(self, theta: Sequence[Expr],
-                system: Optional[SolvedSystem] = None) -> bool:
-        """Does the covector lie on the characteristic variety (on-shell when
-        a system is supplied)?"""
-        value = self.form(theta)
-        if system is not None:
-            value = system.reduce(value)
-        return value.is_zero()
 
     def determinant(self) -> Expr:
         return linalg.determinant(self.matrix)

@@ -32,8 +32,8 @@ Sections
 
 ``[coords]``
     ``base`` (three or four comma-separated single-letter names),
-    ``unknowns`` (comma-separated names), optional ``spectral`` (default
-    ``lam``).  Required, and must come first.
+    ``unknowns`` (comma-separated names), optional ``spectral`` (one name,
+    default ``lam``).  Required, and must come first.
 ``[equation]``
     One ``solve <jet> = <expression>`` line, optional ``name = <label>``.
     Repeat the section for systems of several equations.  At least one is
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DslError, LaxweylError
 from .expr import Expr, Var
@@ -72,7 +72,7 @@ from .ideal import SolvedEquation, SolvedSystem
 from .conformal import Metric
 from .lax import LaxPair
 
-__all__ = ["Document", "parse_document", "parse_expression", "format_expression"]
+__all__ = ["Document", "parse_document", "parse_expression"]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ class _ExprParser:
         if self.at_op("^"):
             self.take()
             tok = self.peek()
-            if tok.kind != "int":
+            if tok.kind != "int" or int(tok.text) == 0:
                 raise self.fail("exponent must be a positive integer", tok)
             self.take()
             value = value ** int(tok.text)
@@ -244,11 +244,6 @@ def parse_expression(text: str, coords: Coordinates,
     if tok.kind != "end":
         raise parser.fail("unexpected %r after expression" % tok.text, tok)
     return value
-
-
-def format_expression(e: Expr) -> str:
-    """Canonical text for an expression; inverse of :func:`parse_expression`."""
-    return str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +358,13 @@ def _require(section: _Section, key: str) -> _Entry:
     return entry
 
 
+def _is_name(text: str) -> bool:
+    return re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", text) is not None
+
+
 def _name_list(entry: _Entry) -> List[str]:
     names = [part.strip() for part in entry.value.split(",")]
-    if any(not re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", n or "") for n in names):
+    if not all(_is_name(n) for n in names):
         raise DslError("expected a comma-separated list of names",
                        entry.line, entry.column)
     return names
@@ -376,6 +375,9 @@ def _parse_coords(section: _Section) -> Coordinates:
     unknowns = _name_list(_require(section, "unknowns"))
     spectral_entry = section.entries.get("spectral")
     spectral = spectral_entry.value if spectral_entry else "lam"
+    if not _is_name(spectral):
+        raise DslError("expected a single name", spectral_entry.line,
+                       spectral_entry.column)
     for name in base:
         if len(name) != 1:
             entry = _require(section, "base")

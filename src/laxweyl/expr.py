@@ -24,7 +24,7 @@ sees operands over one and the same set.
 
 Other modules import no private name from this one: they work on
 :class:`Expr` values, through its methods (``numerator``, ``denominator``,
-``coeffs_in``, ``degree_in``, ``partial``, ``subs_var``, ``eval_rational``)
+``coeffs_in``, ``partial``, ``subs_var``, ``eval_rational``)
 and the public polynomial API:
 
 * :func:`poly_gcd` -- canonical gcd of two polynomial expressions;
@@ -330,12 +330,6 @@ def _p_pow(a: Poly, n: int) -> Poly:
 def _p_leading(a: Poly) -> tuple:
     m = min(a, key=_m_key)
     return m, a[m]
-
-
-def _p_degree(a: Poly) -> int:
-    if not a:
-        return -1
-    return max(_m_degree(m) for m in a)
 
 
 def _p_degree_in(a: Poly, v: Var) -> int:
@@ -710,14 +704,6 @@ class Expr:
         return len(self.num) <= 1 and _M_ONE in self.den and len(self.den) == 1 \
             and (not self.num or _M_ONE in self.num)
 
-    def as_fraction(self) -> Fraction:
-        """Value of a constant expression (raises if not constant)."""
-        if not self.is_constant():
-            raise ValueError("expression is not constant: %s" % self)
-        if not self.num:
-            return Fraction(0)
-        return self.num[_M_ONE] / self.den[_M_ONE]
-
     def is_polynomial(self) -> bool:
         return len(self.den) == 1 and _M_ONE in self.den
 
@@ -855,12 +841,6 @@ class Expr:
         num = _p_sub(_p_mul(dn, self.den), _p_mul(self.num, dd))
         den = _p_mul(self.den, self.den)
         return Expr(num, den)
-
-    def degree_in(self, v: Var) -> int:
-        """Degree in ``v`` of a polynomial-in-``v`` expression."""
-        if _p_degree_in(self.den, v) > 0:
-            raise NotPolynomialIn("expression has %s in its denominator" % v)
-        return _p_degree_in(self.num, v)
 
     def coeffs_in(self, v: Var) -> dict:
         """Coefficients {exponent: Expr} of an expression polynomial in ``v``

@@ -28,7 +28,7 @@ raises never depends on which calls came before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -38,7 +38,7 @@ from .errors import (
     RankingViolation,
     UnderdeterminedSystem,
 )
-from .expr import Expr, Var, ZERO
+from .expr import Expr, Var
 from .jets import Coordinates, MultiIndex
 
 
@@ -144,9 +144,6 @@ class SolvedSystem:
         """Order of the system: the highest principal-derivative order."""
         return max(sum(eq.alpha) for eq in self.equations)
 
-    def residuals(self) -> List[Expr]:
-        return [eq.residual(self.coords) for eq in self.equations]
-
     # -- reducibility ---------------------------------------------------------
 
     def reduction_target(self, v: Var) -> Optional[tuple]:
@@ -215,9 +212,6 @@ class SolvedSystem:
                 raise IdealDenominator(
                     "denominator reduces to zero modulo the system "
                     "(while eliminating %s)" % v.name) from None
-
-    def is_in_ideal(self, e: Expr) -> bool:
-        return self.reduce(e).is_zero()
 
     # -- instrumented reduction (certificates) --------------------------------
 

@@ -14,10 +14,10 @@ polynomial in the covector components ``theta_i``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import KernelError
 from .expr import KIND_JET, Expr, Var, ZERO
@@ -78,22 +78,12 @@ class Coordinates:
 
     # -- variable factories --------------------------------------------------
 
-    def base_var(self, name: str) -> Var:
-        self.base_index(name)
-        return Var.base(name)
-
-    def base_vars(self) -> tuple:
-        return tuple(Var.base(n) for n in self.base)
-
     def spectral_var(self) -> Var:
         return Var.spectral(self.spectral)
 
     def theta_var(self, name: str) -> Var:
         self.base_index(name)
         return Var.theta(name)
-
-    def theta_vars(self) -> tuple:
-        return tuple(Var.theta(n) for n in self.base)
 
     def jet_var(self, unknown: str, alpha: MultiIndex) -> Var:
         self.unknown_index(unknown)
@@ -105,8 +95,8 @@ class Coordinates:
     def jet(self, unknown: str, derivatives: str = "") -> Expr:
         """Convenience: ``jet('u', 'xxt')`` is the expression
         ``u_xxt`` (letters in any order; repeated letters = repeated
-        differentiation).  Multi-letter coordinate names are accepted when
-        separated unambiguously; use :meth:`jet_var` for those."""
+        differentiation).  Each character names one base coordinate, so
+        multi-letter coordinate names need :meth:`jet_var`."""
         alpha = [0] * self.dim
         for ch in derivatives:
             alpha[self.base_index(ch)] += 1
@@ -136,17 +126,6 @@ class Coordinates:
         for n in names:
             alpha[self.base_index(n)] += 1
         return unknown, tuple(alpha)
-
-    def jet_order(self, v: Var) -> Optional[int]:
-        d = self.decompose_jet(v)
-        if d is None:
-            return None
-        return sum(d[1])
-
-    def max_jet_order(self, e: Expr) -> int:
-        """Highest jet order occurring in ``e`` (0 if no jets at all)."""
-        orders = [self.jet_order(v) for v in e.vars()]
-        return max((o for o in orders if o is not None), default=0)
 
     def jet_vars_of(self, e: Expr, order: Optional[int] = None) -> list:
         """Jet variables occurring in ``e``, optionally filtered by order,
@@ -225,36 +204,6 @@ class Coordinates:
             if not de.is_zero():
                 total = total + de * self.theta_monomial(d[1])
         return total
-
-    def symbol_pairing(self, vector: Sequence[Expr], sym: Expr) -> Expr:
-        """Symmetric pairing of a vector with a symbol: multiply by the
-        linear form ``sum_i X^i theta_i`` (this is the operation under which
-        symbols of total-derivative compositions are multiplicative)."""
-        linear = ZERO
-        for name, comp in zip(self.base, vector):
-            linear = linear + comp * Expr.variable(Var.theta(name))
-        return linear * sym
-
-
-def pullback(e: Expr, src: Coordinates, dst: Coordinates,
-             images: Mapping[str, Expr]) -> Expr:
-    """Substitute each unknown of ``src`` by a jet expression over ``dst``
-    (same base coordinates, possibly different unknowns): the jet
-    ``u_alpha`` maps to ``D^alpha`` (taken in ``dst``) of the image of
-    ``u``.  Variables of other kinds pass through unchanged."""
-    if src.base != dst.base:
-        raise KernelError("pullback requires identical base coordinates")
-    target: Dict[Var, Expr] = {}
-    for v in sorted(e.vars()):
-        d = src.decompose_jet(v)
-        if d is None:
-            continue
-        unknown, alpha = d
-        image = images.get(unknown)
-        if image is None:
-            continue
-        target[v] = dst.total_derivative_multi(image, alpha)
-    return e.subs(target) if target else e
 
 
 def grid_point(coords: Coordinates, assignment: Mapping[str, Fraction]) -> dict:

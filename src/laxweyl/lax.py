@@ -23,10 +23,8 @@ differential ideal without vanishing identically off-shell.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -38,7 +36,6 @@ from .errors import (
     LambdaDependent,
     NoSolution,
     NonUnique,
-    PoleAtSample,
     ReparametrizationError,
 )
 from .expr import Expr, Var, ZERO, ONE, poly_divexact, poly_gcd
@@ -96,13 +93,6 @@ class LaxPair:
 
     def y_components(self) -> List[Expr]:
         return [ZERO, ONE] + [-c for c in self._slots()[1]]
-
-    def null_covector(self) -> List[Expr]:
-        """3D only: the covector ``d b3 + alpha d b1 + beta d b2``
-        annihilating the span of X and Y."""
-        if self.coords.dim != 3:
-            raise KernelError("null_covector is a 3D notion")
-        return self.annihilator_covectors()[0]
 
     def annihilator_covectors(self) -> List[List[Expr]]:
         """A basis of the covectors annihilating the span of X and Y:
@@ -231,11 +221,6 @@ class LaxPair:
                  if name not in ("m", "n")}
         return replace(self, m=move(self.m + self.apply_x(h)),
                        n=move(self.n + self.apply_y(h)), **frame)
-
-    def reduced(self, system: SolvedSystem) -> "LaxPair":
-        """The same pair with every coefficient in normal form."""
-        return replace(self, **{name: system.reduce(c)
-                                for name, c in self.coefficients().items()})
 
     def equal_mod(self, other: "LaxPair",
                   system: Optional[SolvedSystem] = None) -> bool:
@@ -381,49 +366,6 @@ def conic_oracle(coords: Coordinates, alpha: Expr, beta: Expr) -> bool:
     rows = _lambda_coefficient_rows(
         coords, [[c * c, c * a, c * b, a * a, a * b, b * b]])
     return len(rows) < 6 or len(linalg.nullspace(rows)) > 0
-
-
-_JET_TRIALS = 3        # random jet points per sampling check
-_LAMBDA_SAMPLES = 9    # spectral samples per point; a conic has 6 coefficients
-_MAX_RESAMPLES = 64    # poles tolerated per point before giving up
-
-
-def conic_oracle_sampling(coords: Coordinates, alpha: Expr, beta: Expr,
-                          seed: int = 0) -> bool:
-    """Numeric cross-check of :func:`conic_oracle`: fix random rational
-    values for every non-spectral variable, sample the curve at rational
-    spectral values, and test whether the sampled points satisfy a common
-    conic.  Poles trigger resampling."""
-    lam = coords.spectral_var()
-    rng = random.Random(seed)
-    jet_vars = sorted(v for v in (alpha.vars() | beta.vars()) if v is not lam)
-    for _ in range(_JET_TRIALS):
-        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                 for v in jet_vars}
-        rows = []
-        used = set()
-        resamples = 0
-        while len(rows) < _LAMBDA_SAMPLES:
-            lam_val = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-            if lam_val in used:
-                continue
-            used.add(lam_val)
-            full = dict(point)
-            full[lam] = lam_val
-            try:
-                a = alpha.eval_rational(full)
-                b = beta.eval_rational(full)
-            except ZeroDivisionError:
-                resamples += 1
-                if resamples > _MAX_RESAMPLES:
-                    raise PoleAtSample(
-                        "could not find %d pole-free spectral samples"
-                        % _LAMBDA_SAMPLES)
-                continue
-            rows.append([Fraction(1), a, b, a * a, a * b, b * b])
-        if not linalg.nullspace(rows):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,47 +1,24 @@
-"""Exact linear algebra over the expression field (and plain rationals).
+"""Exact linear algebra over the expression field.
 
 Everything here is pivoted Gaussian elimination with exact arithmetic; there
-is no numerical tolerance anywhere.  Matrices are lists of lists; entries may
-be :class:`~laxweyl.expr.Expr` or ``fractions.Fraction``/int (mixing the two
-in one matrix is not supported).
+is no numerical tolerance anywhere.  Matrices are lists of lists of
+:class:`~laxweyl.expr.Expr`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import DegenerateLinearSystem
-from .expr import Expr
+from .expr import Expr, ONE, ZERO
 
-Matrix = List[List[object]]
-Vector = List[object]
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, Expr):
-        return x.is_zero()
-    return x == 0
+Matrix = List[List[Expr]]
+Vector = List[Expr]
 
 
-def _zero_like(x):
-    return Expr.number(0) if isinstance(x, Expr) else Fraction(0)
-
-
-def _one_like(x):
-    return Expr.number(1) if isinstance(x, Expr) else Fraction(1)
-
-
-def _complexity(x) -> int:
+def _complexity(x: Expr) -> int:
     """Pivot-selection heuristic: prefer structurally small entries."""
-    if isinstance(x, Expr):
-        return len(x.num) + len(x.den)
-    return 1
-
-
-def mat_identity(n: int, sample) -> Matrix:
-    one, zero = _one_like(sample), _zero_like(sample)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return len(x.num) + len(x.den)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -81,7 +58,7 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
             break
         best = None
         for i in range(r, rows):
-            if not _is_zero(m[i][c]):
+            if not m[i][c].is_zero():
                 if best is None or _complexity(m[i][c]) < _complexity(m[best][c]):
                     best = i
         if best is None:
@@ -90,7 +67,7 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
         piv = m[r][c]
         m[r] = [entry / piv for entry in m[r]]
         for i in range(rows):
-            if i != r and not _is_zero(m[i][c]):
+            if i != r and not m[i][c].is_zero():
                 factor = m[i][c]
                 m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -110,12 +87,10 @@ def nullspace(matrix: Matrix) -> List[Vector]:
     red, pivots = rref(matrix)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
-    sample = matrix[0][0]
-    zero, one = _zero_like(sample), _one_like(sample)
     basis = []
     for f in free:
-        vec = [zero] * cols
-        vec[f] = one
+        vec = [ZERO] * cols
+        vec[f] = ONE
         for r, c in enumerate(pivots):
             vec[c] = -red[r][f]
         basis.append(vec)
@@ -133,9 +108,7 @@ def solve(matrix: Matrix, rhs: Vector) -> Optional[Vector]:
     red, pivots = rref(aug)
     if cols in pivots:
         return None  # pivot in the rhs column: inconsistent
-    sample = matrix[0][0]
-    zero = _zero_like(sample)
-    x = [zero] * cols
+    x = [ZERO] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
@@ -158,26 +131,25 @@ def determinant(matrix: Matrix):
     """Determinant by exact Gaussian elimination with row pivoting."""
     n = len(matrix)
     if n == 0:
-        return Fraction(1)
+        return ONE
     m = [list(row) for row in matrix]
-    sample = m[0][0]
-    det = _one_like(sample)
+    det = ONE
     sign = 1
     for c in range(n):
         best = None
         for i in range(c, n):
-            if not _is_zero(m[i][c]):
+            if not m[i][c].is_zero():
                 if best is None or _complexity(m[i][c]) < _complexity(m[best][c]):
                     best = i
         if best is None:
-            return _zero_like(sample)
+            return ZERO
         if best != c:
             m[c], m[best] = m[best], m[c]
             sign = -sign
         piv = m[c][c]
         det = det * piv
         for i in range(c + 1, n):
-            if not _is_zero(m[i][c]):
+            if not m[i][c].is_zero():
                 factor = m[i][c] / piv
                 m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
     if sign < 0:
@@ -206,7 +178,7 @@ def adjugate(matrix: Matrix) -> Matrix:
 def invert(matrix: Matrix, what: str = "matrix") -> Matrix:
     n = len(matrix)
     det = determinant(matrix)
-    if _is_zero(det):
+    if det.is_zero():
         raise DegenerateLinearSystem("%s is singular" % what)
     adj = adjugate(matrix)
     return [[entry / det for entry in row] for row in adj]

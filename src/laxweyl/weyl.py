@@ -299,24 +299,6 @@ def ew_residual(system: SolvedSystem, metric: Metric,
     return ResidualTensor(coords, raw, reduced)
 
 
-def laplacian(metric: Metric, f: Expr) -> Expr:
-    """Levi-Civita Laplacian ``g^{ij} (D_i D_j - Gamma^k_{ij} D_k) f``."""
-    coords = metric.coords
-    n = coords.dim
-    inv = metric.inverse_matrix()
-    lc = christoffel_levi_civita(metric)
-    D = coords.total_derivative
-    df = [D(f, k) for k in range(n)]
-    total = ZERO
-    for i in range(n):
-        for j in range(n):
-            term = D(df[j], i)
-            for k in range(n):
-                term = term - lc[k][i][j] * df[k]
-            total = total + inv[i][j] * term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Self-duality (4D)
 # ---------------------------------------------------------------------------

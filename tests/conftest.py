@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from laxweyl import Coordinates, Expr, Metric, ONE, ZERO, corpus
+from laxweyl import (Coordinates, Expr, KernelError, Metric, ONE, PoleAtSample,
+                     ZERO, corpus, linalg)
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +54,69 @@ def coords4():
 def fresh_metric(metric: Metric) -> Metric:
     """The same matrix in a new :class:`Metric`, with every cache empty."""
     return Metric(metric.coords, [list(row) for row in metric.matrix])
+
+
+def pullback(e: Expr, src: Coordinates, dst: Coordinates, images) -> Expr:
+    """Substitute each unknown of ``src`` by a jet expression over ``dst``
+    (same base coordinates, possibly different unknowns): the jet
+    ``u_alpha`` maps to ``D^alpha`` (taken in ``dst``) of the image of
+    ``u``.  Variables of other kinds pass through unchanged."""
+    if src.base != dst.base:
+        raise KernelError("pullback requires identical base coordinates")
+    target = {}
+    for v in sorted(e.vars()):
+        d = src.decompose_jet(v)
+        if d is None:
+            continue
+        unknown, alpha = d
+        image = images.get(unknown)
+        if image is None:
+            continue
+        target[v] = dst.total_derivative_multi(image, alpha)
+    return e.subs(target) if target else e
+
+
+_JET_TRIALS = 3        # random jet points per sampling check
+_LAMBDA_SAMPLES = 9    # spectral samples per point; a conic has 6 coefficients
+_MAX_RESAMPLES = 64    # poles tolerated per point before giving up
+
+
+def conic_oracle_sampling(coords: Coordinates, alpha: Expr, beta: Expr,
+                          seed: int = 0) -> bool:
+    """Numeric reference for ``conic_oracle``: fix random rational values
+    for every non-spectral variable, sample the curve at rational spectral
+    values, and test whether the sampled points satisfy a common conic.
+    Poles trigger resampling."""
+    lam = coords.spectral_var()
+    rng = random.Random(seed)
+    jet_vars = sorted(v for v in (alpha.vars() | beta.vars()) if v is not lam)
+    for _ in range(_JET_TRIALS):
+        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for v in jet_vars}
+        rows = []
+        used = set()
+        resamples = 0
+        while len(rows) < _LAMBDA_SAMPLES:
+            lam_val = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+            if lam_val in used:
+                continue
+            used.add(lam_val)
+            full = dict(point)
+            full[lam] = lam_val
+            try:
+                a = alpha.eval_rational(full)
+                b = beta.eval_rational(full)
+            except ZeroDivisionError:
+                resamples += 1
+                if resamples > _MAX_RESAMPLES:
+                    raise PoleAtSample(
+                        "could not find %d pole-free spectral samples"
+                        % _LAMBDA_SAMPLES)
+                continue
+            rows.append([Expr.number(x) for x in (1, a, b, a * a, a * b, b * b)])
+        if not linalg.nullspace(rows):
+            return False
+    return True
 
 
 def random_fraction(rng: random.Random, span: int = 6) -> Fraction:

@@ -16,12 +16,12 @@ from laxweyl import (Classification, LaxPair, LaxVerdict, Metric, ONE, ZERO,
                      characteristic_check, characteristic_quadric,
                      conformal_equal, conformal_metric, conic_oracle,
                      ew_residual, invert_to_metric, monge_invariant,
-                     normal_lift_4d, pullback, recover_metric, sd_residual,
+                     normal_lift_4d, recover_metric, sd_residual,
                      signature_at, solve_weyl_form, verify_lax, weyl_lift_3d)
 from laxweyl.errors import PoleAtSample, SingularSample
 
-from conftest import (atom_pool, random_frame_4d, random_jet_expression,
-                      random_spectral_curve)
+from conftest import (atom_pool, pullback, random_frame_4d,
+                      random_jet_expression, random_spectral_curve)
 
 
 @contextmanager

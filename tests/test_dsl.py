@@ -7,8 +7,8 @@ import random
 import pytest
 
 from laxweyl import Coordinates, ONE, ZERO
-from laxweyl.dsl import (Document, DslError, format_expression,
-                         parse_document, parse_expression)
+from laxweyl.dsl import (Document, DslError, parse_document,
+                         parse_expression)
 
 from conftest import atom_pool, random_jet_expression
 
@@ -55,7 +55,7 @@ class TestExpressionGrammar:
         pool = atom_pool(c3, max_order=2, spectral=True)
         for _ in range(60):
             e = random_jet_expression(c3, rng, pool=pool)
-            text = format_expression(e)
+            text = str(e)
             back = parse_expression(text, c3)
             assert (back - e).is_zero(), text
 
@@ -63,7 +63,7 @@ class TestExpressionGrammar:
                                      second_heavenly):
         for doc in (dkp, manakov_santini, second_heavenly):
             for e in (doc.pair.alpha, doc.pair.beta, doc.pair.m, doc.pair.n):
-                back = parse_expression(format_expression(e), doc.coords)
+                back = parse_expression(str(e), doc.coords)
                 assert (back - e).is_zero()
 
 
@@ -71,6 +71,7 @@ class TestExpressionErrors:
     @pytest.mark.parametrize("text,line,column,fragment", [
         ("u_q", 1, 1, "not a base coordinate"),
         ("lam ^ u", 1, 7, "exponent must be a positive integer"),
+        ("u^0", 1, 3, "exponent must be a positive integer"),
         ("1/0", 1, 3, "division by zero"),
         ("w + 1", 1, 1, "unknown name"),
         ("(u", 1, 3, "expected ')'"),
@@ -117,6 +118,12 @@ class TestDocuments:
          3, 1, "duplicate key"),
         ("[coords]\nbase = x, y, t\nunknowns = u\nflavor = odd\n",
          4, 1, "unknown key"),
+        ("[coords]\nbase = x, y, t\nunknowns = u\nspectral =\n",
+         4, 11, "expected a single name"),
+        ("[coords]\nbase = x, y, t\nunknowns = u\nspectral = 2\n",
+         4, 12, "expected a single name"),
+        ("[coords]\nbase = x, y, t\nunknowns = u\nspectral = a b\n",
+         4, 12, "expected a single name"),
         ("[equation]\nsolve u_xt = u_yy\n", 1, 1,
          "must start with a [coords] section"),
         ("[coords]\nbase = x, y, t\nunknowns = u\n\n[equation]\n"

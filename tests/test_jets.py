@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from laxweyl import Coordinates, Expr, ONE, ZERO, grid_point, pullback
+from laxweyl import Coordinates, Expr, ONE, ZERO, grid_point
 from laxweyl.errors import KernelError
 
-from conftest import (atom_pool, random_jet_expression, random_polynomial,
-                      random_rational)
+from conftest import (atom_pool, pullback, random_jet_expression,
+                      random_polynomial, random_rational)
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +32,6 @@ class TestCoordinates:
     def test_jet_accessors_agree(self, c3):
         assert (c3.jet("u", "xxt")
                 - Expr.variable(c3.jet_var("u", (2, 0, 1)))).is_zero()
-
-    def test_jet_order(self, c3):
-        v = c3.jet_var("u", (2, 0, 1))
-        assert c3.jet_order(v) == 3
-        assert c3.jet_order(c3.spectral_var()) is None
 
     def test_unknown_required(self, c3):
         with pytest.raises(KernelError):
@@ -152,15 +147,6 @@ class TestJetSymbol:
             lhs = c3.jet_symbol(dxe, 3, "u")
             rhs = theta * c3.jet_symbol(e, 2, "u")
             assert (lhs - rhs).is_zero()
-
-    def test_symbol_pairing_is_multiplication(self, c3):
-        """Pairing with X multiplies by the linear form theta(X)."""
-        sym = c3.theta_monomial((1, 0, 1))
-        x_vec = [ONE, ZERO, 2 * ONE]
-        paired = c3.symbol_pairing(x_vec, sym)
-        expected = (c3.theta_monomial((2, 0, 1))
-                    + 2 * c3.theta_monomial((1, 0, 2)))
-        assert (paired - expected).is_zero()
 
 
 class TestPullback:

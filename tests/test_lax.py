@@ -11,13 +11,13 @@ import pytest
 from laxweyl import (Coordinates, Expr, LaxPair, LaxVerdict, ONE, ZERO,
                      characteristic_check, conformal_equal, conformal_metric,
                      congruence_from_vectors, conic_oracle, linalg,
-                     conic_oracle_sampling, monge_invariant, normal_lift_4d,
-                     parse_document, pullback, recover_metric, verify_lax,
-                     weyl_lift_3d)
+                     monge_invariant, normal_lift_4d, parse_document,
+                     recover_metric, verify_lax, weyl_lift_3d)
 from laxweyl.errors import (DegenerateCongruence, DegenerateFrame,
                             LambdaDependent)
 
-from conftest import random_frame_4d, random_spectral_curve
+from conftest import (conic_oracle_sampling, pullback, random_frame_4d,
+                      random_spectral_curve)
 
 
 def lift_by_formula(coords, alpha, beta, gamma, delta, system=None):
@@ -260,7 +260,7 @@ class TestNormalLift4D:
 class TestPencilGeometry:
     def test_null_covector_annihilates_frame(self, dkp):
         doc = dkp
-        theta = doc.pair.null_covector()
+        (theta,) = doc.pair.annihilator_covectors()
         for vec in (doc.pair.x_components(), doc.pair.y_components()):
             paired = ZERO
             for ti, vi in zip(theta, vec):

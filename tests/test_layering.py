@@ -62,3 +62,41 @@ def test_only_lax_reads_4d_frame_slots():
     offenders = {m.name: frame_slot_reads(m.read_text())
                  for m in modules if m.name != "lax.py"}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def unused_imports(source: str) -> list:
+    """Names that ``source`` imports and never reads, in import order.  A
+    name listed in the module's ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.extend(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_guard_sees_unused_imports():
+    assert unused_imports(
+        "from __future__ import annotations\nimport random, os.path\n"
+        "from typing import List, Tuple\nfrom .a import b as c, d\n"
+        "__all__ = ['d']\n\ndef f(x: List) -> int:\n    return os.sep\n"
+    ) == ["random", "Tuple", "c"]
+
+
+def test_no_module_imports_an_unused_name():
+    """``__init__`` imports to re-export; every other module reads each
+    name it imports."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert any(m.name == "lax.py" for m in modules)
+    offenders = {m.name: unused_imports(m.read_text())
+                 for m in modules if m.name != "__init__.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
