@@ -1,8 +1,16 @@
-"""Command-line interface: exit codes, JSON payloads, error handling."""
+"""Command-line interface: exit codes, JSON payloads, error handling.
+
+Run as a script (``PYTHONPATH=src python tests/test_cli.py``) it rewrites
+the byte-for-byte transcript that :class:`TestTranscript` compares with.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -10,15 +18,19 @@ from laxweyl import corpus
 from laxweyl.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 
 
-@pytest.fixture(scope="module")
-def dspec_path(tmp_path_factory):
-    root = tmp_path_factory.mktemp("dspec")
+def write_entries(root: Path) -> dict:
+    """Each corpus entry written to ``root/<name>.dspec``, by name."""
     paths = {}
     for name in corpus.ENTRIES:
         p = root / ("%s.dspec" % name)
         p.write_text(corpus.source(name))
         paths[name] = str(p)
     return paths
+
+
+@pytest.fixture(scope="module")
+def dspec_path(tmp_path_factory):
+    return write_entries(tmp_path_factory.mktemp("dspec"))
 
 
 def run(capsys, *argv):
@@ -319,3 +331,51 @@ class TestErrorHandling:
         code, out, err = run(capsys, "lax", "verify", "-")
         assert code == EXIT_OK
         assert "lax-pair" in out
+
+
+TRANSCRIPT = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
+
+ENTRY_COMMANDS = [
+    ("symbol",), ("metric",),
+    ("lax", "verify"), ("lax", "normalize"), ("lax", "recover-metric"),
+    ("ew", "check"), ("ew", "check", "--solve-omega"),
+    ("sd", "check", "--orientation", "+"),
+    ("sd", "check", "--orientation", "-"),
+]
+
+
+def transcript(paths: dict) -> str:
+    """Every entry command on every corpus entry, then ``corpus verify
+    --all``, each in both formats: the argv, the exit code, and stdout and
+    stderr line by line (the last line of each is what follows the final
+    newline)."""
+    runs = [(argv + ("--format", fmt), name)
+            for name in corpus.ENTRIES for argv in ENTRY_COMMANDS
+            for fmt in ("text", "json")]
+    runs += [(("corpus", "verify", "--all", "--format", fmt), None)
+             for fmt in ("text", "json")]
+    blocks = []
+    for argv, name in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv) + ([paths[name]] if name else []))
+        blocks.append("$ laxweyl %s%s\nexit %d\n" % (
+            " ".join(argv), " %s.dspec" % name if name else "", code))
+        for tag, stream in (("out", out), ("err", err)):
+            blocks.extend("%s|%s\n" % (tag, line)
+                          for line in stream.getvalue().split("\n"))
+    return "".join(blocks)
+
+
+class TestTranscript:
+    """Every command's output on the whole corpus, byte for byte."""
+
+    def test_matches_recorded(self, dspec_path):
+        assert transcript(dspec_path) == TRANSCRIPT.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as root:
+        text = transcript(write_entries(Path(root)))
+    TRANSCRIPT.parent.mkdir(exist_ok=True)
+    TRANSCRIPT.write_text(text, encoding="utf-8")
