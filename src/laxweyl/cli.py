@@ -23,7 +23,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -33,10 +32,8 @@ from . import reports
 from .conformal import (characteristic_polynomial, characteristic_quadric,
                         conformal_equal, conformal_metric, signature_at)
 from .dsl import Document, parse_document, parse_expression
-from .errors import (DslError, LaxweylError, NoSolution, NonUnique,
-                     NotAQuadric, DegenerateQuadric, SingularSample,
-                     PoleAtSample)
-from .ideal import SolvedSystem
+from .errors import (LaxweylError, NoSolution, NonUnique, NotAQuadric,
+                     DegenerateQuadric, SingularSample, PoleAtSample)
 from .lax import LaxVerdict, characteristic_check, recover_metric, verify_lax
 from .weyl import ew_residual, sd_residual, solve_weyl_form
 
@@ -54,9 +51,7 @@ def _read_document(args) -> Document:
         text = sys.stdin.read()
     else:
         text = Path(args.file).read_text(encoding="utf-8")
-    doc = parse_document(text)
-    return replace(doc, system=SolvedSystem(doc.coords, doc.system.equations,
-                                            max_order=args.max_order))
+    return parse_document(text, max_order=args.max_order)
 
 
 def _require_pair(doc: Document) -> None:
@@ -353,13 +348,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, text = args.handler(args)
-    except DslError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    except LaxweylError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (LaxweylError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":

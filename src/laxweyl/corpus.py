@@ -34,13 +34,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import List, Optional
 
-from .errors import LaxweylError, NoSolution
+from .errors import DslError, LaxweylError, NoSolution
 from .conformal import conformal_metric, conformal_equal
 from .weyl import Classification, ew_residual, sd_residual, solve_weyl_form
 from .lax import (LaxVerdict, characteristic_check, verify_lax,
                   conic_oracle)
 from .dsl import Document, parse_document
-from .ideal import SolvedSystem
 
 __all__ = ["ENTRIES", "available", "load", "source", "verify",
            "CheckResult", "CorpusReport"]
@@ -54,17 +53,6 @@ ENTRIES = (
     "dkp_broken",
     "pavlov",
 )
-
-_VERDICTS = {
-    "lax-pair": LaxVerdict.LAX_PAIR,
-    "not-integrable": LaxVerdict.NOT_INTEGRABLE,
-    "trivial": LaxVerdict.TRIVIAL,
-}
-_CLASSIFICATIONS = {
-    "identically-zero": Classification.IDENTICALLY_ZERO,
-    "zero-mod-ideal": Classification.ZERO_MOD_IDEAL,
-    "nonzero": Classification.NONZERO,
-}
 
 
 def available() -> tuple:
@@ -107,17 +95,26 @@ class CorpusReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _flag(value: str) -> bool:
-    return value.strip().lower() == "true"
+_FLAGS = {"true": True, "false": False}
+
+
+def _expected(expect: dict, key: str, vocabulary: dict):
+    """The meaning of the value recorded for ``key``; a value outside the
+    ``vocabulary`` raises :class:`DslError` naming the key and the value."""
+    value = expect[key]
+    if value not in vocabulary:
+        raise DslError("[expect] %s = %r is not one of: %s"
+                       % (key, value, ", ".join(vocabulary)))
+    return vocabulary[value]
 
 
 def verify(name: str, max_order: Optional[int] = None) -> CorpusReport:
     """Replay every expectation recorded in a bundled entry, reducing
     under the jet-order budget ``max_order`` in every check."""
-    doc = load(name)
+    doc = parse_document(source(name), max_order=max_order)
     report = CorpusReport(name, doc.title)
     checks = report.checks
-    system = SolvedSystem(doc.coords, doc.system.equations, max_order=max_order)
+    system = doc.system
     expect = doc.expect
 
     def run(label: str, thunk) -> None:
@@ -137,9 +134,9 @@ def verify(name: str, max_order: Optional[int] = None) -> CorpusReport:
         run("metric", check_metric)
 
     if doc.pair is not None and "verdict" in expect:
-        want = _VERDICTS[expect["verdict"]]
-
         def check_verdict():
+            want = _expected(expect, "verdict",
+                             {v.value: v for v in LaxVerdict})
             lax_report = verify_lax(system, doc.pair)
             if lax_report.verdict is want:
                 return True, "verdict %s" % want.name
@@ -152,7 +149,7 @@ def verify(name: str, max_order: Optional[int] = None) -> CorpusReport:
 
     if doc.pair is not None and "normal" in expect:
         def check_normal():
-            want_normal = _flag(expect["normal"])
+            want_normal = _expected(expect, "normal", _FLAGS)
             got = doc.pair.is_normal()
             return got == want_normal, ("pair is normal" if got
                                         else "pair is not normal")
@@ -160,7 +157,7 @@ def verify(name: str, max_order: Optional[int] = None) -> CorpusReport:
 
     if doc.pair is not None and "characteristic" in expect:
         def check_characteristic():
-            want_char = _flag(expect["characteristic"])
+            want_char = _expected(expect, "characteristic", _FLAGS)
             got = characteristic_check(doc.pair, system)
             return got == want_char, (
                 "pair annihilates null covectors of the quadric" if got
@@ -169,7 +166,7 @@ def verify(name: str, max_order: Optional[int] = None) -> CorpusReport:
 
     if doc.pair is not None and "conic" in expect and doc.coords.dim == 3:
         def check_conic():
-            want_conic = _flag(expect["conic"])
+            want_conic = _expected(expect, "conic", _FLAGS)
             got = conic_oracle(doc.coords, doc.pair.alpha, doc.pair.beta)
             return got == want_conic, ("pencil lies on a conic" if got
                                        else "pencil is not conic")
@@ -179,14 +176,15 @@ def verify(name: str, max_order: Optional[int] = None) -> CorpusReport:
         def check_curvature():
             metric = (doc.metric if doc.metric is not None
                       else conformal_metric(system))
-            if expect["curvature"] == "none":
+            want_cls = _expected(expect, "curvature", dict(
+                {c.value: c for c in Classification}, none=None))
+            if want_cls is None:
                 try:
                     solution = solve_weyl_form(system, metric=metric)
                 except NoSolution as exc:
                     return True, "covector search exhausted: %s" % exc
                 return False, ("unexpected covector found: %s"
                                % [str(w) for w in solution.omega])
-            want_cls = _CLASSIFICATIONS[expect["curvature"]]
             omega = doc.omega
             if omega is None:
                 omega = solve_weyl_form(system, metric=metric).omega
@@ -198,17 +196,13 @@ def verify(name: str, max_order: Optional[int] = None) -> CorpusReport:
         def check_orientation():
             metric = (doc.metric if doc.metric is not None
                       else conformal_metric(system))
-            want_or = expect["orientation"]
-            if want_or not in ("+", "-"):
-                return False, "bad orientation %r" % want_or
+            want_or = _expected(expect, "orientation", {"+": "+", "-": "-"})
             other = "-" if want_or == "+" else "+"
-            good = sd_residual(system, metric, orientation=want_or).classify()
+            good = sd_residual(system, metric, orientation=want_or).residual
             bad = sd_residual(system, metric, orientation=other).classify()
-            ok = (good in (Classification.ZERO_MOD_IDEAL,
-                           Classification.IDENTICALLY_ZERO)
-                  and bad is Classification.NONZERO)
+            ok = good.is_zero_mod_ideal() and bad is Classification.NONZERO
             return ok, ("self-dual for %r (%s), opposite is %s"
-                        % (want_or, good.name, bad.name))
+                        % (want_or, good.classify().name, bad.name))
         run("orientation", check_orientation)
 
     return report

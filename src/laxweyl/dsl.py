@@ -482,8 +482,9 @@ def _parse_omega(section: _Section, coords: Coordinates) -> List[Expr]:
     return parts
 
 
-def parse_document(text: str) -> Document:
-    """Parse a full ``.dspec`` document."""
+def parse_document(text: str, max_order: Optional[int] = None) -> Document:
+    """Parse a full ``.dspec`` document; its system reduces under the
+    jet-order budget ``max_order`` (see :class:`SolvedSystem`)."""
     title, sections = _split_sections(text)
     if not sections or sections[0].name != "coords":
         line = sections[0].line if sections else 1
@@ -496,7 +497,7 @@ def parse_document(text: str) -> Document:
         raise DslError("at least one [equation] section is required",
                        sections[0].line, 1)
     try:
-        system = SolvedSystem(coords, tuple(equations))
+        system = SolvedSystem(coords, tuple(equations), max_order=max_order)
     except LaxweylError as exc:
         first = next(s for s in sections if s.name == "equation")
         raise DslError(str(exc), first.line, 1)

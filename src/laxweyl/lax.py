@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .conformal import Metric, Quadric
+from .conformal import Metric, Quadric, characteristic_quadric
 from .errors import (
     DegenerateCongruence,
     DegenerateFrame,
@@ -41,7 +41,7 @@ from .errors import (
 from .expr import Expr, Var, ZERO, ONE, poly_divexact, poly_gcd
 from .ideal import SolvedSystem
 from .jets import Coordinates
-from .weyl import christoffel_weyl, first_nonzero
+from .weyl import Classification, ResidualTensor, christoffel_weyl
 
 
 class LaxVerdict(Enum):
@@ -234,17 +234,36 @@ class LaxPair:
         return True
 
 
+# a trivial pair commutes identically; a Lax pair's commutator vanishes only
+# modulo the system
+_VERDICTS = {
+    Classification.IDENTICALLY_ZERO: LaxVerdict.TRIVIAL,
+    Classification.ZERO_MOD_IDEAL: LaxVerdict.LAX_PAIR,
+    Classification.NONZERO: LaxVerdict.NOT_INTEGRABLE,
+}
+
+
 @dataclass
 class LaxReport:
-    """Residuals of a candidate pair against a system, raw and reduced."""
+    """The commutator residuals of a candidate pair against a system."""
 
     pair: LaxPair
-    raw: Dict[str, Expr]
-    reduced: Dict[str, Expr]
-    verdict: LaxVerdict
+    residual: ResidualTensor
+
+    @property
+    def raw(self) -> Dict[str, Expr]:
+        return self.residual.raw
+
+    @property
+    def reduced(self) -> Dict[str, Expr]:
+        return self.residual.reduced
+
+    @property
+    def verdict(self) -> LaxVerdict:
+        return _VERDICTS[self.residual.classify()]
 
     def witness(self) -> Optional[Tuple[str, Expr]]:
-        return first_nonzero(self.reduced)
+        return self.residual.witness()
 
 
 def verify_lax(system: SolvedSystem, pair: LaxPair) -> LaxReport:
@@ -252,22 +271,13 @@ def verify_lax(system: SolvedSystem, pair: LaxPair) -> LaxReport:
     commutator residuals reduce to zero but at least one is nonzero
     off-shell), a trivial pair commutes identically, anything else is not
     integrable by this pair."""
-    raw = pair.residuals()
-    reduced = {k: system.reduce(v) for k, v in raw.items()}
-    if all(v.is_zero() for v in raw.values()):
-        verdict = LaxVerdict.TRIVIAL
-    elif all(v.is_zero() for v in reduced.values()):
-        verdict = LaxVerdict.LAX_PAIR
-    else:
-        verdict = LaxVerdict.NOT_INTEGRABLE
-    return LaxReport(pair, raw, reduced, verdict)
+    return LaxReport(pair, ResidualTensor.of(system, pair.residuals()))
 
 
 def characteristic_check(pair: LaxPair, system: SolvedSystem) -> bool:
     """Whether the pair's 2-planes are characteristic for the system: every
     covector annihilating the span of X and Y must be null for the
     characteristic quadric modulo the differential ideal (for all lam)."""
-    from .conformal import characteristic_quadric
     quadric = characteristic_quadric(system)
     thetas = pair.annihilator_covectors()
     n = pair.coords.dim

@@ -51,21 +51,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conformal import Metric
+from .conformal import Metric, conformal_metric
 from .errors import KernelError, NoSolution
 from .expr import Expr, Var, ZERO, ONE, KIND_PARAM, expr_sqrt
 from .ideal import SolvedSystem
 from .jets import Coordinates
-
-
-def first_nonzero(entries: Mapping[str, Expr]) -> Optional[Tuple[str, Expr]]:
-    """The nonzero entry with the smallest label, if any."""
-    for label in sorted(entries):
-        if not entries[label].is_zero():
-            return label, entries[label]
-    return None
 
 
 class Classification(Enum):
@@ -78,11 +70,19 @@ class Classification(Enum):
 
 @dataclass
 class ResidualTensor:
-    """A labelled family of residual entries, raw and reduced."""
+    """A labelled family of residual entries, raw and reduced: Lax
+    commutators, Einstein--Weyl and self-duality residuals are all built by
+    :meth:`of`, and classified and witnessed here alone."""
 
     coords: Coordinates
     raw: Dict[str, Expr]
     reduced: Dict[str, Expr]
+
+    @classmethod
+    def of(cls, system: SolvedSystem, raw: Dict[str, Expr]) -> "ResidualTensor":
+        """The family ``raw`` with each entry reduced modulo ``system``."""
+        return cls(system.coords, raw,
+                   {k: system.reduce(v) for k, v in raw.items()})
 
     def classify(self) -> Classification:
         if all(e.is_zero() for e in self.raw.values()):
@@ -92,12 +92,14 @@ class ResidualTensor:
         return Classification.NONZERO
 
     def witness(self) -> Optional[Tuple[str, Expr]]:
-        """A nonvanishing reduced entry, if any (deterministic choice)."""
-        return first_nonzero(self.reduced)
+        """The nonvanishing reduced entry with the smallest label, if any."""
+        for label in sorted(self.reduced):
+            if not self.reduced[label].is_zero():
+                return label, self.reduced[label]
+        return None
 
     def is_zero_mod_ideal(self) -> bool:
-        return self.classify() in (Classification.IDENTICALLY_ZERO,
-                                   Classification.ZERO_MOD_IDEAL)
+        return self.classify() is not Classification.NONZERO
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +294,10 @@ def ew_residual(system: SolvedSystem, metric: Metric,
     trace = sum((inv[i][j] * sym[i][j] for i in range(n) for j in range(n)),
                 ZERO)
     third = Expr.number(Fraction(1, 3))
-    raw = {coords.base[i] + coords.base[j]:
-           sym[i][j] - third * trace * metric.matrix[i][j]
-           for i in range(n) for j in range(i, n)}
-    reduced = {k: system.reduce(v) for k, v in raw.items()}
-    return ResidualTensor(coords, raw, reduced)
+    return ResidualTensor.of(system, {
+        coords.base[i] + coords.base[j]:
+        sym[i][j] - third * trace * metric.matrix[i][j]
+        for i in range(n) for j in range(i, n)})
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,11 @@ class SelfDualityReport:
     residual: ResidualTensor
     orientation: str
     volume_sqrt: Optional[Expr]
-    formal_pair: bool
+
+    @property
+    def formal_pair(self) -> bool:
+        """Whether the check degenerated to the pair ``C``, ``V(C)``."""
+        return self.volume_sqrt is None
 
     def classify(self) -> Classification:
         return self.residual.classify()
@@ -413,21 +418,17 @@ def sd_residual(system: SolvedSystem, metric: Metric,
     det = system.reduce(metric.determinant())
     s = expr_sqrt(det)
     labels = lambda key: "C[%s%s|%s%s]" % tuple(coords.base[i] for i in key)
-    if s is not None:
+    if s is None:
+        raw = {}
+        for key in c:
+            raw[labels(key)] = c[key]
+            raw["V" + labels(key)] = v[key]
+    else:
         if orientation == "-":
             s = -s
         half = Expr.number(Fraction(1, 2))
         raw = {labels(key): half * (c[key] - s * v[key]) for key in c}
-        reduced = {k: system.reduce(e) for k, e in raw.items()}
-        return SelfDualityReport(
-            ResidualTensor(coords, raw, reduced), orientation, s, False)
-    raw = {}
-    for key in c:
-        raw[labels(key)] = c[key]
-        raw["V" + labels(key)] = v[key]
-    reduced = {k: system.reduce(e) for k, e in raw.items()}
-    return SelfDualityReport(
-        ResidualTensor(coords, raw, reduced), orientation, None, True)
+    return SelfDualityReport(ResidualTensor.of(system, raw), orientation, s)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +688,6 @@ def solve_weyl_form(system: SolvedSystem,
     :class:`NoSolution` is raised with diagnostics when no rational
     solution exists in the ansatz.
     """
-    from .conformal import conformal_metric
     coords = system.coords
     if metric is None:
         metric = conformal_metric(system)
