@@ -259,6 +259,17 @@ class TestCorpusCommands:
         assert code == EXIT_OK
         assert out.count("PASS") == len(corpus.ENTRIES)
 
+    def test_unknown_expect_value_is_a_failing_check(self, capsys,
+                                                     monkeypatch):
+        text = corpus.source("dkp").replace("verdict = lax-pair",
+                                            "verdict = lax pair")
+        monkeypatch.setattr(corpus, "source", lambda name: text)
+        code, out, err = run(capsys, "corpus", "verify", "dkp")
+        assert code == EXIT_NEGATIVE
+        assert err == ""
+        assert ("  ! verdict: DslError: [expect] verdict = 'lax pair' is not "
+                "one of: lax-pair, trivial, not-integrable\n") in out
+
     def test_verify_all_json(self, capsys):
         code, out, err = run(capsys, "corpus", "verify", "--all",
                              "--format", "json")

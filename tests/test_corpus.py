@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -59,6 +60,38 @@ def test_negative_control_expects_failure_modes():
     verdict_check = next(c for c in report.checks if c.name == "verdict")
     assert verdict_check.passed
     assert "NOT_INTEGRABLE" in verdict_check.detail
+
+
+def doctored(name: str, key: str, value: str) -> str:
+    """The text of entry ``name`` with its ``[expect]`` value for ``key``
+    replaced by ``value``."""
+    text = corpus.source(name)
+    out = re.sub(r"(?m)^%s = .*$" % key, "%s = %s" % (key, value), text)
+    assert out != text
+    return out
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("dkp", "verdict", "lax pair"),
+    ("dkp", "curvature", "zero"),
+    ("dkp", "normal", "yes"),
+    ("manakov_santini", "normal", "no"),
+    ("dkp", "characteristic", "True"),
+    ("dkp", "conic", "1"),
+    ("second_heavenly", "orientation", "+-"),
+])
+def test_unknown_expect_value_fails_its_own_check(monkeypatch, name, key,
+                                                  value):
+    """A value outside its key's vocabulary fails that check alone, and the
+    detail names the key and the value.  ``normal = no`` on a pair that is
+    not normal used to pass, read as false."""
+    text = doctored(name, key, value)
+    monkeypatch.setattr(corpus, "source", lambda entry: text)
+    report = corpus.verify(name)
+    (failure,) = report.failures()
+    assert failure.name == key
+    assert failure.detail.startswith("DslError: [expect] %s = %r is not "
+                                     "one of: " % (key, value))
 
 
 _TRANSFORMS = standard_transformations + (convert_xor,)
