@@ -226,8 +226,6 @@ def _m_key(a: Mono) -> tuple:
 
 Poly = dict
 
-_P_ZERO: Poly = {}
-
 
 def _p_const(c: Fraction) -> Poly:
     return {_M_ONE: c} if c else {}
@@ -718,6 +716,10 @@ class Expr:
     def vars(self) -> set:
         return _p_vars(self.num) | _p_vars(self.den)
 
+    def term_count(self) -> int:
+        """Terms of the numerator plus terms of the denominator."""
+        return len(self.num) + len(self.den)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
@@ -813,12 +815,6 @@ class Expr:
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self) -> int:
         h = self._hash

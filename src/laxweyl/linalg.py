@@ -18,7 +18,7 @@ Vector = List[Expr]
 
 def _complexity(x: Expr) -> int:
     """Pivot-selection heuristic: prefer structurally small entries."""
-    return len(x.num) + len(x.den)
+    return x.term_count()
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

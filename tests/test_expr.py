@@ -150,6 +150,18 @@ class TestQueries:
         with pytest.raises(NotPolynomialIn):
             (ONE / lam).coeffs_in(coords.spectral_var())
 
+    def test_term_count(self, coords):
+        x, y = coords.var("x"), coords.var("y")
+        assert ZERO.term_count() == 1
+        assert ONE.term_count() == 2
+        assert ((x * x - 3 * y) / (x + y + 1)).term_count() == 5
+
+    def test_not_equal_is_derived_from_equal(self, coords):
+        x = coords.var("x")
+        assert (x + 1 != 1 + x) is False
+        assert (x != x * x) is True
+        assert (x != "x") is True
+
     def test_partial(self, coords):
         x, y = coords.var("x"), coords.var("y")
         e = x * x * y

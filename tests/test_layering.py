@@ -40,6 +40,51 @@ def test_no_module_but_expr_imports_expr_privates():
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
+def poly_reads(source: str) -> list:
+    """``(function, attribute)`` of each read of ``.num`` or ``.den`` in
+    ``source``, by the innermost enclosing function (``None`` at module
+    level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in ("num", "den")
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((function, child.attr))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_guard_sees_poly_reads():
+    assert poly_reads(
+        "def f(e):\n    def g():\n        return e.num\n"
+        "    return len(e.den)\nx = y.num\ne.den = 1\n") == [
+            ("g", "num"), ("f", "den"), (None, "num")]
+
+
+# the parameter solver reads numerators until the closed-form covector
+# replaces it
+POLY_READERS = {("weyl.py", "_param_equations")}
+
+
+def test_only_expr_reads_polynomial_dicts():
+    """Outside ``laxweyl.expr`` an expression's size is its
+    ``term_count()``; no module reads the ``num``/``den`` dicts."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert any(m.name == "linalg.py" for m in modules)
+    offenders = sorted(
+        (m.name, function, attr) for m in modules if m.name != "expr.py"
+        for function, attr in poly_reads(m.read_text())
+        if (m.name, function) not in POLY_READERS)
+    assert offenders == []
+
+
 def frame_slot_reads(source: str) -> list:
     """Attributes ``gamma`` and ``delta`` that ``source`` reads."""
     return [node.attr for node in ast.walk(ast.parse(source))
