@@ -49,6 +49,7 @@ ENTRIES = (
     "manakov_santini",
     "master_ew",
     "flat_counterexample",
+    "first_heavenly",
     "second_heavenly",
     "dkp_broken",
     "pavlov",
