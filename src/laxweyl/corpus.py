@@ -24,8 +24,10 @@ workbench must reproduce; :func:`verify` replays every recorded claim:
     vanishes modulo the system, the opposite one being nonzero (four base
     coordinates).
 
-A recorded ``[metric]`` is always checked against the canonical conformal
-metric of the system, independent of the keys above.
+A value outside the vocabulary listed for its key fails that key's check,
+with the key and the value named.  A recorded ``[metric]`` is always
+checked against the canonical conformal metric of the system, independent
+of the keys above.
 """
 
 from __future__ import annotations
