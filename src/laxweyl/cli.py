@@ -59,12 +59,6 @@ def _require_pair(doc: Document) -> None:
         raise LaxweylError("the document has no [pair] section")
 
 
-def _document_metric(doc: Document):
-    if doc.metric is not None:
-        return doc.metric
-    return conformal_metric(doc.system)
-
-
 def _verdict_exit(verdict: LaxVerdict) -> int:
     return EXIT_OK if verdict is LaxVerdict.LAX_PAIR else EXIT_NEGATIVE
 
@@ -187,7 +181,7 @@ def _cmd_ew_check(args) -> _Outcome:
     if doc.coords.dim != 3:
         raise LaxweylError("the Einstein-Weyl check needs three base "
                            "coordinates")
-    metric = _document_metric(doc)
+    metric = doc.metric_or_canonical()
     payload: Dict = {}
     lines = []
     if doc.omega is not None and not args.solve_omega:
@@ -218,7 +212,7 @@ def _cmd_sd_check(args) -> _Outcome:
     if doc.coords.dim != 4:
         raise LaxweylError("the self-duality check needs four base "
                            "coordinates")
-    metric = _document_metric(doc)
+    metric = doc.metric_or_canonical()
     report = sd_residual(doc.system, metric, orientation=args.orientation)
     code = (EXIT_OK if report.residual.is_zero_mod_ideal()
             else EXIT_NEGATIVE)

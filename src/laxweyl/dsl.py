@@ -65,11 +65,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DslError, LaxweylError
+from .errors import DslError, KernelError, LaxweylError
 from .expr import Expr, Var
 from .jets import Coordinates
 from .ideal import SolvedEquation, SolvedSystem
-from .conformal import Metric
+from .conformal import Metric, conformal_metric
 from .lax import LaxPair
 
 __all__ = ["Document", "parse_document", "parse_expression"]
@@ -222,17 +222,23 @@ class _ExprParser:
             return Expr.variable(Var.base(name))
         if name in coords.unknowns:
             return coords.var(name)
-        head, sep, tail = name.partition("_")
-        if sep and head in coords.unknowns and tail:
-            alpha = [0] * coords.dim
-            for letter in tail:
-                if letter not in coords.base:
-                    raise self.fail(
-                        "%r is not a base coordinate (in jet %r)"
-                        % (letter, name), tok)
-                alpha[coords.base_index(letter)] += 1
-            return Expr.variable(coords.jet_var(head, tuple(alpha)))
-        raise self.fail("unknown name %r" % name, tok)
+        jet = _jet(coords, name, self.line, tok.column)
+        if jet is None:
+            raise self.fail("unknown name %r" % name, tok)
+        return Expr.variable(coords.jet_var(*jet))
+
+
+def _jet(coords: Coordinates, name: str, line: int,
+         column: int) -> Optional[Tuple[str, tuple]]:
+    """``(unknown, alpha)`` of a jet name like ``u_xt``, else None; a bad
+    suffix letter raises :class:`DslError` at ``line:column``."""
+    head, sep, tail = name.partition("_")
+    if not (sep and head in coords.unknowns and tail):
+        return None
+    try:
+        return head, coords.multi_index(tail)
+    except KernelError as exc:
+        raise DslError("%s (in jet %r)" % (exc, name), line, column) from None
 
 
 def parse_expression(text: str, coords: Coordinates,
@@ -262,6 +268,10 @@ class Document:
     omega: Optional[List[Expr]] = None
     expect: Dict[str, str] = field(default_factory=dict)
     title: Optional[str] = None
+
+    def metric_or_canonical(self) -> Metric:
+        """The recorded metric, else the system's canonical one."""
+        return self.metric or conformal_metric(self.system)
 
 
 @dataclass
@@ -394,21 +404,15 @@ def _parse_coords(section: _Section) -> Coordinates:
 def _parse_equation(section: _Section, coords: Coordinates) -> SolvedEquation:
     rhs_entry = _require(section, "solve")
     target = section.entries["solve-target"]
-    head, sep, tail = target.value.partition("_")
-    if not sep or head not in coords.unknowns or not tail:
+    jet = _jet(coords, target.value, target.line, target.column)
+    if jet is None:
         raise DslError("the solved side must be a jet like u_xt (got %r)"
                        % target.value, target.line, target.column)
-    alpha = [0] * coords.dim
-    for letter in tail:
-        if letter not in coords.base:
-            raise DslError("%r is not a base coordinate (in jet %r)"
-                           % (letter, target.value), target.line, target.column)
-        alpha[coords.base_index(letter)] += 1
     rhs = parse_expression(rhs_entry.value, coords, rhs_entry.line,
                            rhs_entry.column)
     name_entry = section.entries.get("name")
     label = name_entry.value if name_entry else None
-    return SolvedEquation(head, tuple(alpha), rhs, name=label)
+    return SolvedEquation(*jet, rhs, name=label)
 
 
 def _parse_pair(section: _Section, coords: Coordinates) -> LaxPair:

@@ -91,10 +91,8 @@ class SolvedSystem:
                name: str = "") -> "SolvedSystem":
         """Convenience constructor for one scalar equation, with the
         principal jet given by a derivative string like ``'xt'``."""
-        alpha = [0] * coords.dim
-        for ch in derivatives:
-            alpha[coords.base_index(ch)] += 1
-        return SolvedSystem(coords, [SolvedEquation(unknown, tuple(alpha), rhs, name)])
+        return SolvedSystem(coords, [SolvedEquation(
+            unknown, coords.multi_index(derivatives), rhs, name)])
 
     def _validate(self) -> None:
         coords = self.coords

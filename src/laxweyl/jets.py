@@ -68,7 +68,7 @@ class Coordinates:
         try:
             return self.base.index(name)
         except ValueError:
-            raise KernelError("unknown base coordinate %r" % name) from None
+            raise KernelError("%r is not a base coordinate" % name) from None
 
     def unknown_index(self, name: str) -> int:
         try:
@@ -92,15 +92,21 @@ class Coordinates:
             raise KernelError("bad multi-index %r" % (alpha,))
         return Var.jet(unknown, _names_from_alpha(self.base, alpha))
 
-    def jet(self, unknown: str, derivatives: str = "") -> Expr:
-        """Convenience: ``jet('u', 'xxt')`` is the expression
-        ``u_xxt`` (letters in any order; repeated letters = repeated
-        differentiation).  Each character names one base coordinate, so
-        multi-letter coordinate names need :meth:`jet_var`."""
+    def multi_index(self, derivatives: str) -> MultiIndex:
+        """The multi-index of derivative letters like ``'xxt'``: letters in
+        any order, repeated letters for repeated differentiation.  Each
+        character names one base coordinate, so multi-letter coordinate
+        names need :meth:`jet_var`."""
         alpha = [0] * self.dim
         for ch in derivatives:
             alpha[self.base_index(ch)] += 1
-        return Expr.variable(self.jet_var(unknown, tuple(alpha)))
+        return tuple(alpha)
+
+    def jet(self, unknown: str, derivatives: str = "") -> Expr:
+        """Convenience: ``jet('u', 'xxt')`` is the expression ``u_xxt``
+        (derivative letters as in :meth:`multi_index`)."""
+        return Expr.variable(self.jet_var(unknown,
+                                          self.multi_index(derivatives)))
 
     def var(self, name: str) -> Expr:
         """Expression for a base coordinate, unknown or the spectral name."""
@@ -220,10 +226,7 @@ def grid_point(coords: Coordinates, assignment: Mapping[str, Fraction]) -> dict:
         else:
             head, _, tail = name.partition("_")
             if head in coords.unknowns:
-                alpha = [0] * coords.dim
-                for ch in tail:
-                    alpha[coords.base_index(ch)] += 1
-                out[coords.jet_var(head, tuple(alpha))] = value
+                out[coords.jet_var(head, coords.multi_index(tail))] = value
             else:
                 raise KernelError("cannot interpret point coordinate %r" % name)
     return out

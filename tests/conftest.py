@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from laxweyl import (Coordinates, Expr, KernelError, Metric, ONE, PoleAtSample,
                      ZERO, corpus, linalg)
@@ -208,51 +211,92 @@ def random_frame_4d(coords: Coordinates, rng: random.Random) -> tuple:
     return tuple(coefficient() + lam * coefficient() for _ in range(4))
 
 
-# Textbook curvature for sympy oracles.  Entries are sympy expressions or
-# elements of a sympy rational function field; ``e.diff(X[i])`` is the
-# derivative in the i-th base coordinate (the total derivative when the
-# unknowns are sympy functions of ``X``), and ``zero`` is the zero entry.
+# Textbook curvature for reference checks.  Entries are elements of a field:
+# sympy expressions, a sympy rational function field, or laxweyl's ``Expr``;
+# ``D(f, i)`` is the derivative of ``f`` in the i-th base coordinate (the
+# total derivative for jet entries), and ``zero`` is the zero entry.
 
 
-def sympy_levi_civita(X, g, gi, zero) -> list:
+def sympy_levi_civita(D, g, gi, zero) -> list:
     """``G^k_ij = g^kl (d_j g_li + d_i g_lj - d_l g_ij) / 2``, as
     ``G[k][i][j]``, for the metric ``g`` with inverse ``gi``."""
-    n = len(X)
-    return [[[sum((gi[k][l] * (g[l][i].diff(X[j]) + g[l][j].diff(X[i])
-                               - g[i][j].diff(X[l])) for l in range(n)),
-                  zero) / 2
-              for j in range(n)] for i in range(n)] for k in range(n)]
+    r = range(len(g))
+    dg = [[[D(g[a][b], c) for c in r] for b in r] for a in r]
+    return [[[sum((gi[k][l] * (dg[l][i][j] + dg[l][j][i] - dg[i][j][l])
+                   for l in r), zero) / 2
+              for j in r] for i in r] for k in r]
 
 
-def sympy_curvature(X, G, zero) -> tuple:
+def sympy_curvature(D, G, zero) -> tuple:
     """``R(r, s, m, v) = R^r_smv = d_m G^r_vs - d_v G^r_ms + G^r_ml G^l_vs
-    - G^r_vl G^l_ms``, computed per call, and ``Ric_sv = R^r_srv`` of the
-    connection ``G^k_ij = G[k][i][j]``."""
-    n = len(X)
+    - G^r_vl G^l_ms``, computed per call from derivatives taken once, and
+    ``Ric_sv = R^r_srv`` of the connection ``G^k_ij = G[k][i][j]``."""
+    r = range(len(G))
 
-    def R(r, s, m, v):
-        return (G[r][v][s].diff(X[m]) - G[r][m][s].diff(X[v])
-                + sum((G[r][m][l] * G[l][v][s] - G[r][v][l] * G[l][m][s]
-                       for l in range(n)), zero))
+    @functools.lru_cache(maxsize=None)
+    def dG(a, b, c, m):
+        return D(G[a][b][c], m)
 
-    ric = [[sum((R(r, s, r, v) for r in range(n)), zero) for v in range(n)]
-           for s in range(n)]
+    def R(a, s, m, v):
+        return (dG(a, v, s, m) - dG(a, m, s, v)
+                + sum((G[a][m][l] * G[l][v][s] - G[a][v][l] * G[l][m][s]
+                       for l in r), zero))
+
+    ric = [[sum((R(a, s, a, v) for a in r), zero) for v in r] for s in r]
     return R, ric
 
 
-def sympy_ew_residual(X, g, gi, w, zero) -> dict:
+def sympy_ew_residual(D, g, gi, w, zero) -> dict:
     """Trace-free part of ``Sym Ric`` of the Weyl connection ``G^k_ij =
     L^k_ij + delta^k_i w_j + delta^k_j w_i - g_ij w^k`` on the Levi-Civita
     ``L``, on the keys ``(i, j)``, ``i <= j``."""
-    n = len(X)
-    L = sympy_levi_civita(X, g, gi, zero)
+    n = len(g)
+    L = sympy_levi_civita(D, g, gi, zero)
     w_up = [sum((gi[k][l] * w[l] for l in range(n)), zero) for k in range(n)]
     G = [[[L[k][i][j] + (w[j] if k == i else zero) + (w[i] if k == j else zero)
            - g[i][j] * w_up[k]
            for j in range(n)] for i in range(n)] for k in range(n)]
-    _, ric = sympy_curvature(X, G, zero)
+    _, ric = sympy_curvature(D, G, zero)
     sym = [[(ric[i][j] + ric[j][i]) / 2 for j in range(n)] for i in range(n)]
     trace = sum((gi[i][j] * sym[i][j] for i in range(n) for j in range(n)),
                 zero)
     return {(i, j): sym[i][j] - trace * g[i][j] / n
             for i in range(n) for j in range(i, n)}
+
+
+def sympy_weyl_tensor(D, g, gi, zero) -> dict:
+    """Weyl tensor ``C = Rm - g (Kulkarni-Nomizu) P`` of the Levi-Civita
+    connection, with ``Rm_abcd = g_ar R^r_bcd`` and the Schouten tensor
+    ``P = (Ric - S g / (2 (n - 1))) / (n - 2)``, on the keys ``(a, b, c,
+    d)`` with ``a < b`` and ``c < d``."""
+    n = len(g)
+    R, ric = sympy_curvature(D, sympy_levi_civita(D, g, gi, zero), zero)
+    scal = sum((gi[s][v] * ric[s][v] for s in range(n) for v in range(n)),
+               zero)
+    P = [[(ric[a][b] - scal * g[a][b] / (2 * (n - 1))) / (n - 2)
+          for b in range(n)] for a in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    return {(a, b, c, d): sum((g[a][r] * R(r, b, c, d) for r in range(n)),
+                              zero)
+            - (g[a][c] * P[b][d] - g[a][d] * P[b][c]
+               + g[b][d] * P[a][c] - g[b][c] * P[a][d])
+            for a, b in pairs for c, d in pairs}
+
+
+def sympy_dual(gi, C, zero) -> dict:
+    """``V(C)_abkl = 1/2 eps_klmn C_ab^mn``, with the second index pair of
+    ``C`` raised by the inverse metric ``gi`` and the permutation symbol
+    ``eps``, on the keys of ``C``, which is antisymmetric in that pair."""
+    r = range(len(gi))
+    out = {}
+    for a, b in sorted({key[:2] for key in C}):
+        low = [[C[a, b, p, q] if p < q else -C[a, b, q, p] if p > q else zero
+                for q in r] for p in r]
+        mid = [[sum((gi[m][p] * low[p][q] for p in r), zero) for q in r]
+               for m in r]
+        up = [[sum((gi[n][q] * mid[m][q] for q in r), zero) for n in r]
+              for m in r]
+        for k, l in itertools.combinations(r, 2):
+            out[a, b, k, l] = sum((int(sympy.LeviCivita(k, l, m, n))
+                                   * up[m][n] for m in r for n in r), zero) / 2
+    return out

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -18,8 +17,8 @@ from laxweyl import (Classification, Coordinates, Expr, Metric, ONE, ZERO,
 from laxweyl import weyl as W
 from laxweyl.errors import KernelError, NoSolution
 
-from conftest import (fresh_metric, random_fraction, sympy_curvature,
-                      sympy_ew_residual, sympy_levi_civita)
+from conftest import (fresh_metric, random_fraction, sympy_dual,
+                      sympy_ew_residual, sympy_weyl_tensor)
 
 
 class TestChristoffels:
@@ -380,57 +379,10 @@ def _weyl_inputs(doc) -> dict:
     return out
 
 
-def _reference_weyl(metric) -> dict:
-    """Conformal Weyl tensor through the mixed curvature: Levi-Civita
-    symbols, every ``R^l_kij``, Ricci, Schouten, then lowering."""
-    coords = metric.coords
-    n = coords.dim
-    riem_up = W.riemann_tensor(coords, W.christoffel_levi_civita(metric))
-    ric = W.ricci_tensor(coords, riem_up)
-    g = metric.matrix
-    inv = metric.inverse_matrix()
-    scal = sum((inv[i][j] * ric[i][j] for i in range(n) for j in range(n)),
-               ZERO)
-    P = [[(ric[i][j] - scal * g[i][j] / 6) / 2 for j in range(n)]
-         for i in range(n)]
-    out = {}
-    for a, b, i, j in itertools.product(range(n), repeat=4):
-        if a < b and i < j:
-            riem = sum((g[a][m] * riem_up[m][b][i][j] for m in range(n)),
-                       ZERO)
-            out[(a, b, i, j)] = riem - (g[a][i] * P[j][b] - g[a][j] * P[i][b]
-                                        + g[b][j] * P[i][a]
-                                        - g[b][i] * P[j][a])
-    return out
-
-
-def _permutation_sign(perm) -> int:
-    inversions = sum(perm[s] > perm[t] for s in range(len(perm))
-                     for t in range(s + 1, len(perm)))
-    return -1 if inversions % 2 else 1
-
-
-def _reference_dual(metric, c) -> dict:
-    """``1/2 eps_{klmn} g^{mp} g^{nq} C_{abpq}``, summed over every index."""
-    n = metric.coords.dim
-    inv = metric.inverse_matrix()
-    eps = {perm: _permutation_sign(perm)
-           for perm in itertools.permutations(range(n))}
-    out = {}
-    for a, b in itertools.combinations(range(n), 2):
-        for k, l in itertools.combinations(range(n), 2):
-            val = ZERO
-            for m, nn, p, q in itertools.product(range(n), repeat=4):
-                if (k, l, m, nn) in eps:
-                    val = val + eps[(k, l, m, nn)] * inv[m][p] * inv[nn][q] \
-                        * W._weyl_component(c, a, b, p, q)
-            out[(a, b, k, l)] = val / 2
-    return out
-
-
 class TestWeylTensor4D:
-    """The Weyl tensor from second derivatives of the metric, against the
-    path through the mixed curvature tensor."""
+    """The Weyl tensor from second derivatives of the metric, and its dual,
+    against the textbook formulas of ``conftest`` in laxweyl's arithmetic:
+    Christoffel symbols, every ``R^r_smv``, Ricci, Schouten, lowering."""
 
     @pytest.mark.parametrize("which", ["corpus", "times_1_plus_u_xy",
                                        "g_zz_rational", "scaled_0",
@@ -438,12 +390,13 @@ class TestWeylTensor4D:
     def test_matches_reference(self, which, second_heavenly):
         g = _weyl_inputs(second_heavenly)[which]
         c = W.weyl_curvature_tensor(g)
-        ref = _reference_weyl(g)
+        gi = g.inverse_matrix()
+        ref = sympy_weyl_tensor(g.coords.total_derivative, g.matrix, gi, ZERO)
         assert list(c) == list(ref)
         for key, value in ref.items():
             assert str(c[key]) == str(value), key
         v = W.dual_on_second_pair(g, c)
-        ref_v = _reference_dual(g, ref)
+        ref_v = sympy_dual(gi, ref, ZERO)
         assert list(v) == list(ref_v)
         for key, value in ref_v.items():
             assert str(v[key]) == str(value), key
@@ -541,41 +494,21 @@ BASE_METRIC_ROWS = [["x*y", "1", "0", "0"], ["1", "0", "0", "x*t"],
 
 
 def _sympy_metric(rows, names: str) -> tuple:
-    """The field ``K = QQ(names)``, its generators ``X``, and the metric
-    given as text with its inverse, in ``K``."""
+    """The field ``K = QQ(names)``, its derivative ``D(f, i)`` in the i-th
+    generator, and the metric given as text with its inverse, in ``K``."""
     K, *X = sympy.field(names, sympy.QQ)
     g_expr = sympy.Matrix([[parse_expr(e, transformations=_SYMPY_TRANSFORMS)
                             for e in row] for row in rows])
     gi = [[K(e) for e in row] for row in g_expr.inv().tolist()]
     g = [[K(e) for e in row] for row in g_expr.tolist()]
-    return K, X, g, gi
-
-
-def _sympy_weyl(rows, names: str) -> tuple:
-    """Textbook Weyl tensor in sympy's rational function field: Christoffel
-    symbols, Riemann and Ricci (``conftest``), Schouten
-    ``P = (Ric - S g/6)/2`` and ``C = Rm - g (Kulkarni-Nomizu) P``."""
-    K, X, g, gi = _sympy_metric(rows, names)
-    n = len(X)
-    zero = K(0)
-    R, ric = sympy_curvature(X, sympy_levi_civita(X, g, gi, zero), zero)
-    scal = sum((gi[s][v] * ric[s][v] for s in range(n) for v in range(n)),
-               zero)
-    P = [[(ric[a][b] - scal * g[a][b] / 6) / 2 for b in range(n)]
-         for a in range(n)]
-    out = {}
-    for a, b in itertools.combinations(range(n), 2):
-        for c, e in itertools.combinations(range(n), 2):
-            low = sum((g[a][r] * R(r, b, c, e) for r in range(n)), zero)
-            out[(a, b, c, e)] = low - (g[a][c] * P[b][e] - g[a][e] * P[b][c]
-                                       + g[b][e] * P[a][c]
-                                       - g[b][c] * P[a][e])
-    return K, out
+    return K, lambda f, i: f.diff(X[i]), g, gi
 
 
 class TestWeylTensorSympy:
     def test_base_coordinate_metric(self, coords4):
-        K, ref = _sympy_weyl(BASE_METRIC_ROWS, ",".join(coords4.base))
+        K, D, g_ref, gi_ref = _sympy_metric(BASE_METRIC_ROWS,
+                                            ",".join(coords4.base))
+        ref = sympy_weyl_tensor(D, g_ref, gi_ref, K(0))
         g = Metric(coords4, [[parse_expression(e, coords4) for e in row]
                              for row in BASE_METRIC_ROWS])
         c = W.weyl_curvature_tensor(g)
@@ -597,14 +530,6 @@ BASE_METRIC_ROWS_3D = [["x*y^2", "x*y^2", "0"],
 BASE_OMEGA_3D = ["y", "x*t", "1/x"]
 
 
-def _sympy_ew(rows, omega, names: str) -> tuple:
-    """Textbook Einstein--Weyl residual (``conftest``) in sympy's rational
-    function field."""
-    K, X, g, gi = _sympy_metric(rows, names)
-    w = [K(parse_expr(e, transformations=_SYMPY_TRANSFORMS)) for e in omega]
-    return K, sympy_ew_residual(X, g, gi, w, K(0))
-
-
 class TestEinsteinWeylSympy:
     """The 3D residual against the textbook Weyl connection, which shares no
     code with laxweyl's Levi-Civita symbols (the reference of
@@ -612,8 +537,11 @@ class TestEinsteinWeylSympy:
 
     def test_base_coordinate_metric(self, dkp):
         coords = dkp.coords
-        K, ref = _sympy_ew(BASE_METRIC_ROWS_3D, BASE_OMEGA_3D,
-                           ",".join(coords.base))
+        K, D, g_ref, gi_ref = _sympy_metric(BASE_METRIC_ROWS_3D,
+                                            ",".join(coords.base))
+        w = [K(parse_expr(e, transformations=_SYMPY_TRANSFORMS))
+             for e in BASE_OMEGA_3D]
+        ref = sympy_ew_residual(D, g_ref, gi_ref, w, K(0))
         g = Metric(coords, [[parse_expression(e, coords) for e in row]
                             for row in BASE_METRIC_ROWS_3D])
         omega = [parse_expression(e, coords) for e in BASE_OMEGA_3D]
