@@ -298,13 +298,50 @@ def flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+def theta_free(p: JetText, f) -> bool:
+    """Whether ``f`` is nonzero and free of the covector components."""
+    return bool(f) and not any(f.numer.degrees()[p.n:2 * p.n]
+                               + f.denom.degrees()[p.n:2 * p.n])
+
+
+def conformal_ratio(p: JetText):
+    """``det`` of the symbol over ``(theta g^-1 theta)^(number of
+    unknowns)`` on shell: theta-free exactly when the recorded metric is
+    conformal to the symbol's."""
+    _, gi = p.metric(True)
+    q = sum((gi[i][j] * p.theta[i] * p.theta[j]
+             for i in range(p.n) for j in range(p.n)), p.zero)
+    return p.symbol(p.theta) / q ** len(p.unknowns)
+
+
+def ew_residuals(p: JetText) -> list:
+    """The textbook Einstein--Weyl residual of the recorded metric and
+    covector, off shell and on shell."""
+    out = []
+    for on_shell in (False, True):
+        g, gi = p.metric(on_shell)
+        omega = p.value("weyl-form", "omega", on_shell)
+        out.append(sympy_ew_residual(
+            lambda f, i, s=on_shell: p.D(f, i, s), g, gi, omega, p.zero))
+    return out
+
+
+def self_duality(p: JetText) -> tuple:
+    """The Weyl tensor ``C`` of the recorded metric on shell, its dual
+    ``V(C)`` and the square root ``s`` of ``det g`` with a positive
+    constant factor (None when ``det g`` has no square root in ``K``)."""
+    g, gi = p.metric(True)
+    c = sympy_weyl_tensor(lambda f, i: p.D(f, i, True), g, gi, p.zero)
+    s = square_root(p.K, DomainMatrix(g, (p.n, p.n), p.K.to_domain()).det())
+    return c, sympy_dual(gi, c, p.zero), s
+
+
 def derive(p: JetText) -> dict:
     """The value of each ``[expect]`` key that the text implies, whether a
     recorded metric is conformal to the symbol's, and for self-duality the
     volume ``s`` and the number of nonzero entries of the failing
     orientation."""
     out, expect = {}, p.sections.get("expect", {})
-    on, off = (lambda f, i: p.D(f, i, True)), (lambda f, i: p.D(f, i, False))
     if "pair" in p.sections:
         raw, reduced = p.commutator(False), p.commutator(True)
         out["verdict"] = ("trivial" if not any(raw) else "not-integrable"
@@ -334,28 +371,15 @@ def derive(p: JetText) -> dict:
             out["conic"] = flag(rank < 6)
     if "metric" not in p.sections:
         return out
-    # conformal: det of the symbol is a theta-free multiple of (theta g^-1
-    # theta)^(number of unknowns)
-    g, gi = p.metric(True)
-    q = sum((gi[i][j] * p.theta[i] * p.theta[j]
-             for i in range(p.n) for j in range(p.n)), p.zero)
-    ratio = p.symbol(p.theta) / q ** len(p.unknowns)
-    out["metric"] = bool(ratio) and not any(
-        (ratio.numer.degrees() + ratio.denom.degrees())[p.n:2 * p.n])
+    out["metric"] = theta_free(p, conformal_ratio(p))
     if "curvature" in expect and "weyl-form" in p.sections:
-        reduced = sympy_ew_residual(on, g, gi, p.value("weyl-form", "omega",
-                                                       True), p.zero)
-        g0, gi0 = p.metric(False)
-        raw = sympy_ew_residual(off, g0, gi0, p.value("weyl-form", "omega",
-                                                      False), p.zero)
+        raw, reduced = ew_residuals(p)
         out["curvature"] = ("identically-zero" if not any(raw.values())
                             else "nonzero" if any(reduced.values())
                             else "zero-mod-ideal")
     if "orientation" in expect:
-        c = sympy_weyl_tensor(on, g, gi, p.zero)
-        v = sympy_dual(gi, c, p.zero)
-        s = out["volume"] = square_root(
-            p.K, DomainMatrix(g, (p.n, p.n), p.K.to_domain()).det())
+        c, v, s = self_duality(p)
+        out["volume"] = s
         plus = sum(c[key] - s * v[key] != 0 for key in c)
         minus = sum(c[key] + s * v[key] != 0 for key in c)
         out["orientation"] = ("+" if not plus and minus else
@@ -391,3 +415,106 @@ def test_oracle_proves_every_expectation(name):
         doc = corpus.load(name)
         report = sd_residual(doc.system, doc.metric, orientation="+")
         assert proof["volume"] == p.K(p.parse(str(report.volume_sqrt), True))
+
+
+@pytest.fixture(scope="module")
+def pavlov_text():
+    return JetText(corpus.source("pavlov"))
+
+
+class TestPavlovFromText:
+    """The oracle's steps on the ``pavlov`` entry, one per ``[expect]``
+    value and one for its recorded metric."""
+
+    def test_expectations(self, pavlov_text):
+        assert pavlov_text.sections["expect"] == {
+            "verdict": "lax-pair", "normal": "false",
+            "characteristic": "true", "conic": "true",
+            "curvature": "zero-mod-ideal"}
+
+    def test_commutator(self, pavlov_text):
+        """``verdict = lax-pair`` and ``normal = false``: ``[X, Y]`` of
+        ``X = D_1 - alpha D_3``, ``Y = D_2 - beta D_3`` is ``h D_3``, and
+        ``h`` vanishes on solutions but not off them."""
+        p = pavlov_text
+        assert p.value("pair", "m", False) == 0
+        assert p.value("pair", "n", False) == 0
+        (h, vertical), reduced = p.commutator(False), p.commutator(True)
+        assert h != 0 and vertical == 0
+        assert not any(reduced)
+        assert derive(p)["verdict"] == "lax-pair"
+        assert derive(p)["normal"] == "false"
+
+    def test_conic(self, pavlov_text):
+        """``conic = true``: ``beta = alpha^2 + alpha u_x - u_y``."""
+        p = pavlov_text
+        alpha = p.value("pair", "alpha", False)
+        beta = p.value("pair", "beta", False)
+        u_x, u_y = (p.K(p.parse(jet, False)) for jet in ("u_x", "u_y"))
+        assert beta == alpha ** 2 + alpha * u_x - u_y
+        assert derive(p)["conic"] == "true"
+
+    def test_characteristic(self, pavlov_text):
+        """``characteristic = true``: the covector ``(alpha, beta, 1)``
+        annihilating ``X`` and ``Y`` is null for the symbol."""
+        p = pavlov_text
+        theta = [p.value("pair", k, True) for k in ("alpha", "beta")]
+        assert p.symbol(theta + [p.K(1)]) == 0
+        assert derive(p)["characteristic"] == "true"
+
+    def test_metric(self, pavlov_text):
+        """The recorded metric is conformal to the symbol's."""
+        assert theta_free(pavlov_text, conformal_ratio(pavlov_text))
+
+    def test_einstein_weyl(self, pavlov_text):
+        """``curvature = zero-mod-ideal``: the textbook Einstein--Weyl
+        residual of the recorded metric and covector vanishes on solutions
+        but not off them."""
+        raw, reduced = ew_residuals(pavlov_text)
+        assert any(raw.values())
+        assert not any(reduced.values())
+
+
+@pytest.fixture(scope="module")
+def first_heavenly_text():
+    p = JetText(corpus.source("first_heavenly"))
+    return p, self_duality(p)
+
+
+class TestFirstHeavenlyFromText:
+    """The oracle's steps on the ``first_heavenly`` entry: its ``[expect]``
+    value, its recorded metric and its volume."""
+
+    def test_expectations(self, first_heavenly_text):
+        p, _ = first_heavenly_text
+        assert p.sections["expect"] == {"orientation": "-"}
+
+    def test_metric(self, first_heavenly_text):
+        """The recorded metric is conformal to the symbol's."""
+        p, _ = first_heavenly_text
+        assert theta_free(p, conformal_ratio(p))
+
+    def test_volume(self, first_heavenly_text):
+        """``g = [[0, A], [A^T, 0]]``, so ``det g = det(A)^2``, and the
+        oracle's ``s = det A = 4/u_yt^2`` is the square root of ``det g``
+        that laxweyl takes, with the sign of the ``+`` orientation."""
+        p, (_, _, s) = first_heavenly_text
+        g, _ = p.metric(True)
+        assert all(g[i][j] == 0 for i, j in itertools.product((0, 1), (0, 1)))
+        assert all(g[i][j] == 0 for i, j in itertools.product((2, 3), (2, 3)))
+        assert s == p.K(p.parse("4/u_yt^2", True))
+        doc = corpus.load("first_heavenly")
+        report = sd_residual(doc.system, doc.metric, orientation="+")
+        assert s == p.K(p.parse(str(report.volume_sqrt), True))
+
+    def test_anti_self_dual(self, first_heavenly_text):
+        """``orientation = -``: ``C = -s V(C)`` in all 36 entries."""
+        _, (c, v, s) = first_heavenly_text
+        assert all(c[key] + s * v[key] == 0 for key in v)
+        assert len(v) == 36
+
+    def test_not_self_dual(self, first_heavenly_text):
+        """The opposite orientation fails: ``C - s V(C)`` is nonzero in 16
+        of its 36 entries."""
+        _, (c, v, s) = first_heavenly_text
+        assert sum(c[key] - s * v[key] != 0 for key in v) == 16
